@@ -15,7 +15,9 @@ memo on vs off, and against the archived pre-fast-path baseline walls
 batched event loop / incremental stats work landed).  Its hard gate is
 *byte identity*: the memo-on and memo-off runs must produce the same
 ``StatsReport`` JSON, byte for byte — the fast path is an optimisation,
-never a behaviour change.
+never a behaviour change.  A traced leg holds traced runs (every batch
+and one in four recorded) to the same gate on the report and on the
+exported JSONL trace.
 
 Run as a script (``python benchmarks/bench_serving.py [--quick]``) it
 writes the results JSON and exits non-zero on any gate failure; under
@@ -110,6 +112,27 @@ def _timed_run(config, trace, rounds: int):
     return best, report, server
 
 
+def _traced_digest(config, trace, sample: int) -> str:
+    """sha256 over one traced run's report JSON and JSONL trace."""
+    from repro.obs.export import jsonl_lines
+    from repro.serve import Server
+
+    server = Server(config)
+    tracer = server.enable_tracing(sample=sample)
+    report = server.run(trace)
+    blob = "\n".join([json.dumps(report.to_dict(), sort_keys=True)]
+                     + jsonl_lines(tracer))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def traced_identical(trace) -> bool:
+    """Memo-on and memo-off traced runs export the same bytes."""
+    on, _ = _configs(memo=True)
+    off, _ = _configs(memo=False)
+    return all(_traced_digest(on, trace, sample)
+               == _traced_digest(off, trace, sample) for sample in (1, 4))
+
+
 def run_fastpath(quick: bool = False) -> dict:
     """Measure the simulator's host throughput, memo on vs off."""
     from repro.serve import Server, TrafficSpec, generate_trace
@@ -165,6 +188,7 @@ def run_fastpath(quick: bool = False) -> dict:
         "byte_identical": (
             _digest(batched_report) == _digest(off_batched_report)
             and _digest(single_report) == _digest(off_single_report)),
+        "traced_byte_identical": traced_identical(trace),
         "dispatch_memo": memo,
     }
 
@@ -216,6 +240,9 @@ def check_gates(payload: dict) -> list:
         failures.append("memo-on and memo-off reports are not "
                         "byte-identical — the fast path changed "
                         "simulated behaviour")
+    if not fast["traced_byte_identical"]:
+        failures.append("traced memo-on and memo-off runs do not export "
+                        "byte-identical reports and JSONL traces")
     if fast["memo_speedup_x"] < MIN_MEMO_SPEEDUP:
         failures.append(
             f"dispatch memo speedup x{fast['memo_speedup_x']} below "
@@ -263,7 +290,8 @@ def _render_text(payload: dict, batched, single) -> str:
         f"single {fast['memo_off']['single_wall_s']:.3f}s = "
         f"{fast['memo_off']['combined_wall_s']:.3f}s",
         f"memo speedup: x{fast['memo_speedup_x']:.2f}   "
-        f"byte-identical reports: {fast['byte_identical']}",
+        f"byte-identical reports: {fast['byte_identical']}   "
+        f"traced: {fast['traced_byte_identical']}",
     ]
     if fast["speedup_vs_pr6_x"] is not None:
         lines.append(

@@ -1103,8 +1103,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="plan cache entries (default 128)")
         p.add_argument("--no-dispatch-memo", action="store_true",
                        help="disable the dispatch memo fast path "
-                            "(reference scheduler; same-seed reports are "
-                            "byte-identical either way, just slower)")
+                            "(real-buffer allocation lane; same-seed "
+                            "reports are byte-identical either way, just "
+                            "slower)")
         p.add_argument("--device", choices=sorted(DEVICES),
                        default="Tesla K40c", help="modelled GPU")
 

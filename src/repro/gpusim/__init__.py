@@ -40,7 +40,6 @@ from .transfer import TransferEngine, TransferKind
 from .profiler import Profiler, KernelExecution
 from .stream import Stream, Timeline
 from .roofline import RooflinePoint, analyse as roofline_analyse, ridge_point
-from .trace import to_chrome_trace
 from .multigpu import ScalingPoint, strong_scaling, weak_scaling
 from .energy import EnergyReport, iteration_energy
 
@@ -71,7 +70,6 @@ __all__ = [
     "RooflinePoint",
     "roofline_analyse",
     "ridge_point",
-    "to_chrome_trace",
     "ScalingPoint",
     "strong_scaling",
     "weak_scaling",

@@ -1,12 +1,12 @@
 """Exporters: Chrome-trace/Perfetto JSON, JSONL event log, metrics.
 
-The unified timeline this module writes is the cross-layer view the
-profiler-only :mod:`repro.gpusim.trace` could not give: serving-side
-spans (scheduler, plan lookups, advisor rankings, evalcache accesses)
-and gpusim kernel leaves land in one document as separate Perfetto
-*processes*, with fault injections as instant events on the affected
-rows.  :mod:`repro.gpusim.trace` remains for profiler-session-only
-exports and shares this module's row helpers.
+The unified timeline this module writes is the cross-layer view of a
+traced run: serving-side spans (scheduler, plan lookups, advisor
+rankings, evalcache accesses) and gpusim kernel leaves land in one
+document as separate Perfetto *processes*, with fault injections as
+instant events on the affected rows.  :func:`timeline_events` turns a
+bare gpusim stream :class:`~repro.gpusim.stream.Timeline` (the
+copy/compute overlap experiments) into trace events.
 
 All output is deterministic: events are emitted in depth-first span
 order, sorted per row by ``(ts, -dur)`` (the Chrome convention for
@@ -104,6 +104,22 @@ def sort_events(events: List[dict]) -> List[dict]:
                    key=lambda e: (e["pid"], e["tid"], e["ts"],
                                   -e.get("dur", 0.0)))
     return meta + timed
+
+
+def timeline_events(timeline) -> List[dict]:
+    """Trace events for a gpusim stream ``Timeline`` (copy/compute
+    overlap experiments), one row per stream."""
+    rows = {name: i + 1 for i, name in enumerate(sorted(
+        {op.stream for op in timeline.ops()}))}
+    return [{
+        "name": op.label or op.stream,
+        "cat": "stream",
+        "ph": "X",
+        "pid": 0,
+        "tid": rows[op.stream],
+        "ts": op.start * 1e6,
+        "dur": (op.end - op.start) * 1e6,
+    } for op in timeline.ops()]
 
 
 # ---------------------------------------------------------------------------

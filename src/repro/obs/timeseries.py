@@ -29,14 +29,14 @@ Design constraints, in order:
 2. **Exact under trace sampling.**  Every serving-plane counter
    (offered / completed / shed / rejected / plan-cache traffic) and
    every latency percentile is fed from the registry and the
-   completion stream, which ``--trace-sample`` never thins.  What may
-   legitimately differ between sampling rates is anything keyed to
-   the *dispatch path taken*: sampled-out batches ride the memoized
-   fast path, which replays timings without touching the evalcache or
-   launching kernels, so the engine-plane counters (``evalcache_*``,
-   ``gpusim_*``) and the dispatch-memo probe follow the actual mix of
-   paths — as they should (the report stays byte-identical either
-   way).
+   completion stream, which ``--trace-sample`` never thins.  The
+   dispatch-memo probe is exact too: traced, sampled and untraced
+   runs take the same dispatch path.  What may legitimately differ
+   between sampling rates is kernel-leaf evaluation: only a recorded
+   batch synthesises its gpusim kernel leaves through the evalcache,
+   so the engine-plane counters (``evalcache_*``, ``gpusim_*``) follow
+   the sampling rate — as they should (the report stays
+   byte-identical either way).
 
 3. **Byte-deterministic exports.**  The JSONL window log and the
    OpenMetrics-style text render are sorted-key serialisations of the

@@ -41,8 +41,15 @@ a :class:`~repro.obs.tracer.SimTracer` is attached (see
 ranking and evalcache accesses nested inside on a miss), dispatch
 attempts with their gpusim kernel launches as leaves, and fault
 injections as span events on the affected spans.  The default tracer
-is the no-op :data:`~repro.obs.tracer.NULL_TRACER`, which keeps the
-untraced hot path byte-identical to the pre-observability scheduler.
+is the no-op :data:`~repro.obs.tracer.NULL_TRACER`, so every span and
+event call is unconditional: traced and untraced runs take the same
+admission, batching, plan-lookup and dispatch path, and the tracing or
+sampling rate never picks a lane.  The one thing a tracer changes is
+whether the kernel leaves of a recorded dispatch are synthesised
+(evaluation-cache and gpusim traffic), plus the per-request
+``serve.admit``/``serve.reject`` events of :meth:`Server.run`.  The
+allocation lane is picked by the allocator alone: memo replay while
+nothing observes it, real buffers otherwise.
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ from ..errors import (DeviceOOMError, MemoryPressureError, ReproError,
 from ..faults import FaultInjector, FaultPlan
 from ..frameworks.calibration import CONTEXT_BYTES
 from ..frameworks.registry import resolve_implementation, shared_implementations
-from ..gpusim.allocator import DeviceAllocator
+from ..gpusim.allocator import Buffer, DeviceAllocator
 from ..gpusim.device import DeviceSpec, K40C
 from ..gpusim.timing import SimClock
 from ..obs.context import Observability, obs_session
@@ -169,9 +176,8 @@ class Server:
         self._pc_misses = registry.counter("serve_plan_cache_requests_total",
                                            device=self._device_label,
                                            result="miss")
-        self._forward_scale = FORWARD_FRACTION if config.forward_only else 1.0
-        #: Memory-plan memo behind the dispatch fast path; None when
-        #: disabled (``--no-dispatch-memo``).
+        #: Memory-plan memo behind the replay allocation lane; None
+        #: when disabled (``--no-dispatch-memo``).
         self._memo: Optional[DispatchMemo] = (DispatchMemo()
                                               if config.dispatch_memo
                                               else None)
@@ -254,31 +260,19 @@ class Server:
 
     def _plan_for(self, key: ShapeKey, batch: int) -> Tuple[RankedPlan, ...]:
         cache_key = (key, batch, self._device_key)
-        tracer = self.obs.tracer
-        if not tracer.enabled:
-            # Span-free hot path: identical cache traffic (the lookup
-            # still counts its hit or miss) without building a compute
-            # closure per call.
+        with self.obs.tracer.span("serve.plan", cat="serve",
+                                  batch=batch) as sp:
             plans = self.plan_cache.get(cache_key)
-            if plans is not _MISSING:
+            hit = plans is not _MISSING
+            if hit:
                 self._pc_hits.inc()
-                return plans
-            self._pc_misses.inc()
-            plans = self.advisor.plan_ranked(
-                batched_config(key, batch),
-                memory_budget=self.config.memory_budget,
-                device=self.config.device)
-            self.plan_cache.put(cache_key, plans)
-            return plans
-        with tracer.span("serve.plan", cat="serve", batch=batch) as sp:
-            hit = cache_key in self.plan_cache
-            (self._pc_hits if hit else self._pc_misses).inc()
-            plans = self.plan_cache.get_or_compute(
-                cache_key,
-                lambda: self.advisor.plan_ranked(
+            else:
+                self._pc_misses.inc()
+                plans = self.advisor.plan_ranked(
                     batched_config(key, batch),
                     memory_budget=self.config.memory_budget,
-                    device=self.config.device))
+                    device=self.config.device)
+                self.plan_cache.put(cache_key, plans)
             sp.annotate(hit=hit, candidates=len(plans or ()))
         return plans
 
@@ -308,133 +302,92 @@ class Server:
         (the caller falls back to the next-ranked plan) and
         :class:`DeviceOOMError` / :class:`MemoryPressureError` when the
         memory plan does not fit (the caller splits or sheds).
+
+        The memory plan reaches the allocator by one of two lanes.
+        While nothing observes the allocator, the
+        :class:`~repro.core.evalcache.DispatchMemo` supplies the
+        rounded buffer sizes (keyed by shape, batch, implementation,
+        device and the plan-cache corruption epoch) and
+        :meth:`~repro.gpusim.allocator.DeviceAllocator.replay_transient`
+        charges them.  Otherwise (``record_timeline`` or
+        ``dispatch_memo=False``) real tagged buffers are allocated and
+        held across the service time.  Both lanes give the same peak,
+        errors, clock and accounting; spans never see the difference.
         """
-        if (self._memo is not None and not self.obs.tracer.recording
-                and not self._allocator.observed):
-            self._dispatch_fast(plan, rank, config, padded, requests, stats)
-            return
-        impl = resolve_implementation(plan.implementation)
-        res = self.config.resilience
+        impl_name = plan.implementation
+        impl = resolve_implementation(impl_name)
+        allocator = self._allocator
+        clock = self.clock
+        injector = self._injector
         tracer = self.obs.tracer
+        replay = self._memo is not None and not allocator.observed
+        if replay:
+            sizes, total = self._memo.memory_plan(
+                (requests[0].key, padded, impl_name, self._device_key,
+                 self.plan_cache.corruptions), impl, config)
         attempts = 0
+        buffers: List[Buffer] = []
         with tracer.span("serve.dispatch", cat="serve",
-                         implementation=plan.implementation,
-                         rank=rank, batch=padded,
+                         implementation=impl_name, rank=rank, batch=padded,
                          fill=len(requests)) as sp:
             while True:
-                buffers = []
                 try:
-                    for tag, size in impl.memory_plan(config):
-                        if size > 0:
-                            buffers.append(self._allocator.alloc(size, tag=tag))
-                    if self._injector is not None:
-                        self._injector.check_launch(self.clock.now_s,
-                                                    plan.implementation, rank)
+                    if replay:
+                        allocator.replay_transient(sizes, total)
+                    else:
+                        for tag, size in impl.memory_plan(config):
+                            if size > 0:
+                                buffers.append(allocator.alloc(size, tag=tag))
+                    if injector is not None:
+                        injector.check_launch(clock.now_s, impl_name, rank)
                 except TransientKernelError as fault:
-                    for buf in buffers:
-                        self._allocator.free(buf)
-                    sp.event("fault.transient",
-                             implementation=plan.implementation,
+                    self._free(buffers)
+                    sp.event("fault.transient", implementation=impl_name,
                              attempt=attempts + 1,
                              retry_cost_s=fault.retry_cost_s)
-                    self._breaker.record_failure(plan.implementation,
-                                                 self.clock.now_s)
+                    self._breaker.record_failure(impl_name, clock.now_s)
                     # The fault is detected and replayed at the device's
                     # ECC scrub cost whether or not we retry.
-                    self.clock.advance(fault.retry_cost_s)
+                    clock.advance(fault.retry_cost_s)
                     attempts += 1
-                    if attempts >= res.max_attempts:
+                    if attempts >= self.config.resilience.max_attempts:
                         sp.annotate(outcome="retries_exhausted")
                         raise _RetriesExhausted() from fault
                     stats.retries += 1
+                    backoff = self.config.resilience.backoff_s(attempts)
                     sp.event("retry.backoff", attempt=attempts,
-                             backoff_s=res.backoff_s(attempts))
-                    self.clock.advance(res.backoff_s(attempts))
+                             backoff_s=backoff)
+                    clock.advance(backoff)
                     continue
                 except DeviceOOMError:
-                    for buf in buffers:
-                        self._allocator.free(buf)
+                    self._free(buffers)
                     raise
                 break
-            start = self.clock.now_s
+            start = clock.now_s
             service = self._service_time(plan)
-            if self._injector is not None:
-                slowdown = self._injector.slowdown(start)
+            if injector is not None:
+                slowdown = injector.slowdown(start)
                 if slowdown != 1.0:
                     sp.event("fault.straggler", slowdown=slowdown)
-                service *= slowdown
-            finish = self.clock.advance(service)
-            for buf in buffers:
-                self._allocator.free(buf)
-            if self._injector is not None:
-                self._breaker.record_success(plan.implementation)
+                    service *= slowdown
+            finish = clock.advance(service)
+            self._free(buffers)
+            if injector is not None:
+                self._breaker.record_success(impl_name)
             if tracer.recording:
                 self._kernel_leaves(tracer, impl, config, start, finish)
         stats.record_dispatch(requests, start, finish, padded,
-                              len(requests), plan.implementation)
+                              len(requests), impl_name)
         if rank > 0:
             stats.fallback_batches += 1
             stats.fallback_completions += len(requests)
 
-    def _dispatch_fast(self, plan: RankedPlan, rank: int, config,
-                       padded: int, requests: List[Request],
-                       stats: ServingStats) -> None:
-        """The memoized dispatch lane.
-
-        Same simulated-time arithmetic, fault ladder, error semantics
-        and accounting as :meth:`_dispatch`, with two host-time-only
-        substitutions: the memory plan comes from the
-        :class:`~repro.core.evalcache.DispatchMemo` (keyed by shape,
-        batch, implementation, device and the plan-cache corruption
-        epoch) and is replayed through
-        :meth:`~repro.gpusim.allocator.DeviceAllocator.replay_transient`
-        instead of allocating real buffers.  Only taken when nothing
-        can observe the difference: no span is being recorded and no
-        allocator observer is attached.
-        """
-        impl_name = plan.implementation
-        allocator = self._allocator
-        clock = self.clock
-        injector = self._injector
-        key = requests[0].key
-        sizes, total = self._memo.memory_plan(
-            (key, padded, impl_name, self._device_key,
-             self.plan_cache.corruptions),
-            resolve_implementation(impl_name), config)
-        if injector is None:
-            # No fault plan: replay can only raise OOM (handled by the
-            # caller) and nothing rewrites the service time.
-            allocator.replay_transient(sizes, total)
-            start = clock._now
-            finish = clock.advance(plan.time_s * self._forward_scale)
-        else:
-            res = self.config.resilience
-            attempts = 0
-            while True:
-                try:
-                    allocator.replay_transient(sizes, total)
-                    injector.check_launch(clock.now_s, impl_name, rank)
-                except TransientKernelError as fault:
-                    self._breaker.record_failure(impl_name, clock.now_s)
-                    clock.advance(fault.retry_cost_s)
-                    attempts += 1
-                    if attempts >= res.max_attempts:
-                        raise _RetriesExhausted() from fault
-                    stats.retries += 1
-                    clock.advance(res.backoff_s(attempts))
-                    continue
-                break
-            start = clock.now_s
-            service = plan.time_s * self._forward_scale
-            service *= injector.slowdown(start)
-            finish = clock.advance(service)
-            self._breaker.record_success(impl_name)
-        fill = len(requests)
-        stats.record_dispatch(requests, start, finish, padded, fill,
-                              impl_name)
-        if rank > 0:
-            stats.fallback_batches += 1
-            stats.fallback_completions += fill
+    def _free(self, buffers: List[Buffer]) -> None:
+        """Release one attempt's real buffers (none on the replay lane)
+        and empty the list for the next attempt."""
+        for buf in buffers:
+            self._allocator.free(buf)
+        buffers.clear()
 
     def _kernel_leaves(self, tracer, impl, config, start: float,
                        finish: float) -> None:
@@ -503,13 +456,6 @@ class Server:
             config = self._config_cache[(key, padded)] = \
                 batched_config(key, padded)
         tracer = self.obs.tracer
-        # Pick the dispatch lane once per batch: the memoized fast lane
-        # whenever nothing can observe the difference (no span being
-        # recorded, no allocator observer), else the reference path.
-        dispatch = (self._dispatch_fast
-                    if (self._memo is not None and not tracer.recording
-                        and not self._allocator.observed)
-                    else self._dispatch)
         limit = self._fallback_limit
         for rank, plan in enumerate(plans[:limit]):
             if self._injector is not None and \
@@ -519,7 +465,7 @@ class Server:
                              implementation=plan.implementation, rank=rank)
                 continue
             try:
-                dispatch(plan, rank, config, padded, requests, stats)
+                self._dispatch(plan, rank, config, padded, requests, stats)
             except _RetriesExhausted:
                 continue            # substitute the next-ranked plan
             except MemoryPressureError:
@@ -599,7 +545,10 @@ class Server:
 
     def shed_expired(self) -> int:
         """Drop every queued request whose deadline has passed."""
-        expired = self.queue.shed_expired(self.clock.now_s)
+        now = self.clock.now_s
+        if now <= self.queue._min_deadline:
+            return 0                # nothing can have expired yet
+        expired = self.queue.shed_expired(now)
         if expired:
             self.obs.tracer.event("serve.shed_expired",
                                   requests=len(expired))
@@ -616,31 +565,20 @@ class Server:
                                         drain=drain)
         if batch is None:
             return False
+        requests = batch.requests
         tracer = self.obs.tracer
-        if not tracer.enabled:
-            # Span-free hot path: skips the attribute bundle the no-op
-            # span would discard anyway.  Identical accounting.
-            try:
-                self._execute(batch.requests, batch.key, self.stats,
-                              batch.batch)
-            except ReproError:
-                self.stats.unhandled_errors += 1
-                self.stats.record_shed("error", len(batch.requests))
-            return True
         with tracer.span("serve.batch", cat="serve",
-                         model=batch.requests[0].model,
-                         layer=batch.requests[0].layer,
+                         model=requests[0].model, layer=requests[0].layer,
                          fill=batch.fill, batch=batch.batch):
             try:
-                self._execute(list(batch.requests), batch.key, self.stats,
-                              batch.batch)
+                self._execute(requests, batch.key, self.stats, batch.batch)
             except ReproError as exc:
                 # No recovery layer absorbed it: count the failure
                 # loudly instead of crashing the serving loop.
                 tracer.event("serve.unhandled_error",
                              error=type(exc).__name__)
                 self.stats.unhandled_errors += 1
-                self.stats.record_shed("error", len(batch.requests))
+                self.stats.record_shed("error", len(requests))
         return True
 
     def telemetry_poll(self, now_s: float) -> None:
@@ -694,15 +632,11 @@ class Server:
         monitor = self._monitor
         timeout_s = self.config.timeout_s
         # Sorted list + cursor instead of a deque of popped arrivals:
-        # bulk admission walks a slice with no per-element pops.  The
-        # per-request admit() path (with its serve.admit/reject events)
-        # is only needed when a real tracer is attached.
+        # bulk admission walks a slice with no per-element pops.
         pending = sorted(trace, key=lambda a: (a.t_s, a.rid))
         n = len(pending)
         i = 0
-        traced_admits = tracer.enabled
-        offer = None if traced_admits else queue.offer
-        next_batch = self.batcher.next_batch
+        offer = queue.offer
         with obs_session(self.obs), \
                 tracer.span("serve.run", cat="serve",
                             device=self._device_name,
@@ -718,43 +652,21 @@ class Server:
                     self.telemetry_poll(now)
                 if i < n and pending[i].t_s <= now:
                     j = i
-                    if traced_admits:
-                        while j < n and pending[j].t_s <= now:
-                            a = pending[j]
-                            self.admit(Request(
-                                rid=a.rid, model=a.model, layer=a.layer,
-                                key=a.key, arrival_s=a.t_s,
-                                timeout_s=timeout_s))
-                            j += 1
-                        i = j
-                    else:
-                        while j < n and pending[j].t_s <= now:
-                            a = pending[j]
-                            offer(fast_request(a.rid, a.model, a.layer,
-                                               a.key, a.t_s, timeout_s))
-                            j += 1
-                        stats.count_offered(j - i)
-                        i = j
-                if traced_admits:
-                    self.shed_expired()
-                    if self.pump(drain=i >= n):
-                        continue
-                else:
-                    # Inlined shed + pump: the guard on the queue's lazy
-                    # deadline bound and the direct _execute call skip
-                    # two call frames per iteration; accounting is
-                    # identical to shed_expired()/pump() above.
-                    if now > queue._min_deadline:
-                        queue.shed_expired(now)
-                    batch = next_batch(queue, now, i >= n)
-                    if batch is not None:
-                        try:
-                            self._execute(batch.requests, batch.key,
-                                          stats, batch.batch)
-                        except ReproError:
-                            stats.unhandled_errors += 1
-                            stats.record_shed("error", len(batch.requests))
-                        continue
+                    while j < n and pending[j].t_s <= now:
+                        a = pending[j]
+                        admitted = offer(fast_request(
+                            a.rid, a.model, a.layer, a.key, a.t_s,
+                            timeout_s))
+                        if tracer.enabled:
+                            tracer.event("serve.admit" if admitted
+                                         else "serve.reject", rid=a.rid,
+                                         model=a.model, layer=a.layer)
+                        j += 1
+                    stats.count_offered(j - i)
+                    i = j
+                self.shed_expired()
+                if self.pump(drain=i >= n):
+                    continue
                 if i >= n and not queue._depth:
                     break
                 # Nothing releasable: advance to the next event — the next

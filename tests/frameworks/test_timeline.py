@@ -60,7 +60,7 @@ class TestSteadyState:
 
     def test_timeline_exportable(self):
         """The event run serialises to chrome-trace rows."""
-        from repro.gpusim.trace import timeline_events
+        from repro.obs.export import timeline_events
         tp = iteration_timeline(get_implementation("fbfft"), BASE_CONFIG)
         events = timeline_events(tp.timeline)
         assert len(events) > 4

@@ -4,10 +4,12 @@ import json
 
 import pytest
 
+from repro.gpusim.stream import Timeline
 from repro.gpusim.timing import SimClock
 from repro.obs.export import (chrome_trace, ensure_monotonic, jsonl_lines,
                               metadata_events, sort_events, span_events,
-                              write_chrome_trace, write_jsonl, write_metrics)
+                              timeline_events, write_chrome_trace, write_jsonl,
+                              write_metrics)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import SimTracer
 
@@ -92,6 +94,22 @@ class TestMetadata:
         names = [(e["name"], e["args"]["name"]) for e in events]
         assert ("process_name", "serve") in names
         assert ("thread_name", "compute") in names
+
+
+class TestTimelineEvents:
+    def test_streams_become_rows(self):
+        tl = Timeline()
+        tl.stream("copy").enqueue(1.0, "h2d")
+        tl.stream("compute").enqueue(2.0, "kernel")
+        events = timeline_events(tl)
+        assert len(events) == 2
+        assert len({e["tid"] for e in events}) == 2
+
+    def test_times_in_microseconds(self):
+        tl = Timeline()
+        tl.stream("s").enqueue(0.5, "op")
+        ev = timeline_events(tl)[0]
+        assert ev["dur"] == pytest.approx(0.5e6)
 
 
 class TestChromeTrace:

@@ -295,9 +295,9 @@ class TestServerIntegration:
                    if s.startswith("serve_plan_cache_requests_total"))
 
 
-#: Engine-plane counters keyed to the dispatch path taken: sampled-out
-#: batches ride the memoized fast path (timings replayed, no evalcache
-#: access, no kernel launches), so these follow the actual path mix.
+#: Engine-plane counters keyed to kernel-leaf evaluation: only a
+#: recorded batch synthesises its kernel leaves through the evalcache,
+#: so these follow the sampling rate.
 PATH_DEPENDENT = ("evalcache_", "gpusim_")
 
 
@@ -326,7 +326,7 @@ class TestExactUnderSampling:
         assert thinned.obs.tracer.units_kept < thinned.obs.tracer.units_total
         assert self.strip(thinned.telemetry.windows) == \
             self.strip(full.telemetry.windows)
-        # The report itself is byte-identical regardless of path mix.
+        # The report itself is byte-identical at any sampling rate.
         assert thin_report.to_dict() == full_report.to_dict()
 
     def test_span_free_run_matches_traced_serving_counters(self):
@@ -337,8 +337,8 @@ class TestExactUnderSampling:
 
     def test_engine_counters_follow_the_dispatch_path(self):
         """Documenting the boundary of the invariant: a fully traced
-        run sees evalcache hits where the memoized fast path would
-        replay without touching the cache."""
+        run sees evalcache hits from kernel-leaf synthesis that an
+        untraced run never makes."""
         traced, _ = serve_with_telemetry(sample=1)
         untraced, _ = serve_with_telemetry(sample=None)
         assert traced.telemetry.counter_total("evalcache_requests_total") \

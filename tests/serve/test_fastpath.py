@@ -10,6 +10,7 @@ from repro.gpusim.allocator import DeviceAllocator
 from repro.gpusim.device import TITAN_X
 from repro.errors import DeviceOOMError
 from repro.faults.plan import named_plan
+from repro.obs.export import jsonl_lines
 from repro.obs.metrics import MetricsRegistry, NullRegistry
 from repro.obs.tracer import SimTracer, TraceSampler
 from repro.serve import (Arrival, BatchPolicy, Server, ServerConfig,
@@ -24,16 +25,28 @@ KEY2 = shape_key(MODEL_SHAPES["AlexNet"][0][1])
 TRACE = generate_trace(TrafficSpec(duration_s=1.0, rate_rps=4000.0, seed=7))
 
 
-def report_bytes(dispatch_memo, fault_plan=None, max_batch=64,
-                 trace_sample=0):
+FAULT_PLANS = ["straggler", "transient-top", "memory-pressure",
+               "cache-chaos", "chaos"]
+
+
+def run_bytes(dispatch_memo, fault_plan=None, max_batch=64,
+              trace_sample=0):
+    """The report JSON of one run, and its JSONL trace (None when
+    untraced)."""
     policy = (BatchPolicy() if max_batch > 1
               else BatchPolicy(max_batch=1, max_wait_s=0.0))
     config = ServerConfig(policy=policy, dispatch_memo=dispatch_memo)
     server = Server(config, fault_plan=fault_plan, fault_seed=11)
-    if trace_sample:
-        server.enable_tracing(sample=trace_sample)
-    report = server.run(TRACE)
-    return json.dumps(report.to_dict(), sort_keys=True)
+    tracer = server.enable_tracing(sample=trace_sample) \
+        if trace_sample else None
+    report = json.dumps(server.run(TRACE).to_dict(), sort_keys=True)
+    return report, (None if tracer is None
+                    else "\n".join(jsonl_lines(tracer)))
+
+
+def report_bytes(dispatch_memo, fault_plan=None, max_batch=64,
+                 trace_sample=0):
+    return run_bytes(dispatch_memo, fault_plan, max_batch, trace_sample)[0]
 
 
 class TestMemoByteIdentity:
@@ -44,14 +57,23 @@ class TestMemoByteIdentity:
         assert (report_bytes(True, max_batch=1)
                 == report_bytes(False, max_batch=1))
 
-    @pytest.mark.parametrize("plan", ["straggler", "transient-top",
-                                      "memory-pressure", "cache-chaos",
-                                      "chaos"])
+    @pytest.mark.parametrize("plan", FAULT_PLANS)
     def test_fault_plans_identical(self, plan):
         # The ISSUE's headline case: chaos runs must not observe the
         # memo — the fault ladder replays byte-exactly.
         assert (report_bytes(True, named_plan(plan))
                 == report_bytes(False, named_plan(plan)))
+
+    @pytest.mark.parametrize("sample", [1, 4])
+    @pytest.mark.parametrize("plan", [None] + FAULT_PLANS)
+    def test_traced_runs_identical(self, plan, sample):
+        # Traced runs replay the memo too; the report and the exported
+        # span trace must not see which allocation lane ran.
+        fault_plan = named_plan(plan) if plan else None
+        on = run_bytes(True, fault_plan, trace_sample=sample)
+        off = run_bytes(False, fault_plan, trace_sample=sample)
+        assert on[1] is not None
+        assert on == off
 
     def test_memo_counts_hits(self):
         server = Server(ServerConfig(dispatch_memo=True))
@@ -241,6 +263,21 @@ class TestTraceSampler:
         # Tracing (full or sampled) must not perturb simulated results.
         assert report_bytes(True) == self.run_traced(1)[1]
         assert report_bytes(True) == report_bytes(True, trace_sample=4)
+
+    def test_memo_traffic_independent_of_tracing(self):
+        # One dispatch path: tracing and sampling never pick the lane,
+        # so the memo sees the same hits and misses at any rate.
+        def memo_stats(sample):
+            server = Server(ServerConfig(dispatch_memo=True))
+            if sample:
+                server.enable_tracing(sample=sample)
+            server.run(TRACE)
+            return server.dispatch_memo_stats()
+
+        untraced = memo_stats(0)
+        assert untraced["hits"] > 0
+        assert memo_stats(1) == untraced
+        assert memo_stats(4) == untraced
 
     def test_sample_validation(self):
         server = Server(ServerConfig())
