@@ -9,15 +9,17 @@ model.  The rendered comparison is archived as
 headline numbers as ``benchmarks/results/BENCH_serving.json``.
 
 The **fast-path mode** measures the simulator's own host throughput
-(trace arrivals processed per wall-clock second) with the dispatch
-memo on vs off, and against the archived pre-fast-path baseline walls
-(:data:`PR6_BASELINE`, measured on the same protocol before the memo /
-batched event loop / incremental stats work landed).  Its hard gate is
-*byte identity*: the memo-on and memo-off runs must produce the same
-``StatsReport`` JSON, byte for byte — the fast path is an optimisation,
-never a behaviour change.  A traced leg holds traced runs (every batch
-and one in four recorded) to the same gate on the report and on the
-exported JSONL trace.
+(trace arrivals processed per wall-clock second) on the two allocation
+lanes — dispatch-memo replay (the default: nothing observes the
+allocator) vs real buffers (``Server(config, record_timeline=True)``,
+which also pays the timeline observer) — and against the archived
+pre-fast-path baseline walls (:data:`PR6_BASELINE`, measured on the
+same protocol before the memo / batched event loop / incremental stats
+work landed).  Its hard gate is *byte identity*: both lanes must
+produce the same ``StatsReport`` JSON, byte for byte — the fast path
+is an optimisation, never a behaviour change.  A traced leg holds
+traced runs (every batch and one in four recorded) to the same gate on
+the report and on the exported JSONL trace.
 
 Run as a script (``python benchmarks/bench_serving.py [--quick]``) it
 writes the results JSON and exits non-zero on any gate failure; under
@@ -52,7 +54,7 @@ QUICK_SPEC = dict(duration_s=1.5, rate_rps=6000.0, seed=7)
 #: host.  The "after" numbers are re-measured live by
 #: :func:`run_fastpath`, so the speedup-vs-baseline field is only
 #: meaningful on comparable hardware — the CI gates use the live
-#: memo-on/off ratio and byte identity instead.
+#: replay/real-buffer ratio and byte identity instead.
 PR6_BASELINE = {
     "commit": "4fd1e26",
     "protocol": "warm best-of-3, idle host, full workload",
@@ -82,26 +84,26 @@ def _latency_summary(report):
             "completed": report.completed}
 
 
-def _configs(memo: bool = True):
+def _configs():
     from repro.serve import BatchPolicy, ServerConfig
 
-    batched = ServerConfig(dispatch_memo=memo)
-    single = ServerConfig(policy=BatchPolicy(max_batch=1, max_wait_s=0.0),
-                          dispatch_memo=memo)
+    batched = ServerConfig()
+    single = ServerConfig(policy=BatchPolicy(max_batch=1, max_wait_s=0.0))
     return batched, single
 
 
-def _timed_run(config, trace, rounds: int):
+def _timed_run(config, trace, rounds: int, observed: bool = False):
     """Best-of-``rounds`` wall time for one server mode; returns
     (wall_s, report, last_server) — every round's report digest must
-    agree."""
+    agree.  ``observed`` records the memory timeline, which selects
+    the real-buffer lane."""
     from repro.serve import Server
 
     best = float("inf")
     report = None
     server = None
     for _ in range(rounds):
-        server = Server(config)
+        server = Server(config, record_timeline=observed)
         t0 = time.perf_counter()
         out = server.run(trace)
         wall = time.perf_counter() - t0
@@ -112,12 +114,12 @@ def _timed_run(config, trace, rounds: int):
     return best, report, server
 
 
-def _traced_digest(config, trace, sample: int) -> str:
+def _traced_digest(config, trace, sample: int, observed: bool) -> str:
     """sha256 over one traced run's report JSON and JSONL trace."""
     from repro.obs.export import jsonl_lines
     from repro.serve import Server
 
-    server = Server(config)
+    server = Server(config, record_timeline=observed)
     tracer = server.enable_tracing(sample=sample)
     report = server.run(trace)
     blob = "\n".join([json.dumps(report.to_dict(), sort_keys=True)]
@@ -126,21 +128,23 @@ def _traced_digest(config, trace, sample: int) -> str:
 
 
 def traced_identical(trace) -> bool:
-    """Memo-on and memo-off traced runs export the same bytes."""
-    on, _ = _configs(memo=True)
-    off, _ = _configs(memo=False)
-    return all(_traced_digest(on, trace, sample)
-               == _traced_digest(off, trace, sample) for sample in (1, 4))
+    """Traced runs on the replay and real-buffer lanes export the
+    same bytes."""
+    config, _ = _configs()
+    return all(_traced_digest(config, trace, sample, observed=False)
+               == _traced_digest(config, trace, sample, observed=True)
+               for sample in (1, 4))
 
 
 def run_fastpath(quick: bool = False) -> dict:
-    """Measure the simulator's host throughput, memo on vs off."""
+    """Measure the simulator's host throughput, replay lane vs
+    real-buffer lane."""
     from repro.serve import Server, TrafficSpec, generate_trace
 
     spec = TrafficSpec(**(QUICK_SPEC if quick else FULL_SPEC))
     trace = generate_trace(spec)
     rounds = 2 if quick else 3
-    batched_cfg, single_cfg = _configs(memo=True)
+    batched_cfg, single_cfg = _configs()
     # Warm the process-wide advisor/eval-cache models so the walls
     # measure the serving loop, not one-time model evaluation.
     Server(batched_cfg).run(trace)
@@ -149,11 +153,10 @@ def run_fastpath(quick: bool = False) -> dict:
         batched_cfg, trace, rounds)
     single_wall, single_report, _ = _timed_run(single_cfg, trace, rounds)
 
-    off_batched_cfg, off_single_cfg = _configs(memo=False)
     off_batched_wall, off_batched_report, _ = _timed_run(
-        off_batched_cfg, trace, rounds)
+        batched_cfg, trace, rounds, observed=True)
     off_single_wall, off_single_report, _ = _timed_run(
-        off_single_cfg, trace, rounds)
+        single_cfg, trace, rounds, observed=True)
 
     combined = batched_wall + single_wall
     off_combined = off_batched_wall + off_single_wall
@@ -237,12 +240,12 @@ def check_gates(payload: dict) -> list:
     failures = []
     fast = payload["fast_path"]
     if not fast["byte_identical"]:
-        failures.append("memo-on and memo-off reports are not "
-                        "byte-identical — the fast path changed "
+        failures.append("replay-lane and real-buffer-lane reports are "
+                        "not byte-identical — the fast path changed "
                         "simulated behaviour")
     if not fast["traced_byte_identical"]:
-        failures.append("traced memo-on and memo-off runs do not export "
-                        "byte-identical reports and JSONL traces")
+        failures.append("traced replay-lane and real-buffer-lane runs do "
+                        "not export byte-identical reports and JSONL traces")
     if fast["memo_speedup_x"] < MIN_MEMO_SPEEDUP:
         failures.append(
             f"dispatch memo speedup x{fast['memo_speedup_x']} below "
@@ -282,11 +285,11 @@ def _render_text(payload: dict, batched, single) -> str:
         f"x{payload['throughput_speedup_x']:.2f}",
         "",
         "== simulator fast path (host time) ==",
-        f"memo on : batched {fast['after']['batched_wall_s']:.3f}s + "
+        f"replay lane : batched {fast['after']['batched_wall_s']:.3f}s + "
         f"single {fast['after']['single_wall_s']:.3f}s = "
         f"{fast['after']['combined_wall_s']:.3f}s "
         f"({fast['after']['loadgen_rps']:,.0f} arrivals/s)",
-        f"memo off: batched {fast['memo_off']['batched_wall_s']:.3f}s + "
+        f"real buffers: batched {fast['memo_off']['batched_wall_s']:.3f}s + "
         f"single {fast['memo_off']['single_wall_s']:.3f}s = "
         f"{fast['memo_off']['combined_wall_s']:.3f}s",
         f"memo speedup: x{fast['memo_speedup_x']:.2f}   "
@@ -331,10 +334,9 @@ if pytest is not None:
         """Memoized lookup of the same plan — the steady-state path."""
         advisor = _advisor()
         cache = PlanCache(capacity=8)
-        key = (CONV2_KEY, 32, K40C.name)
-        compute = lambda: advisor.plan(batched_config(CONV2_KEY, 32))
-        cache.get_or_compute(key, compute)  # warm
-        plan = benchmark(cache.get_or_compute, key, compute)
+        key = (CONV2_KEY, 32)
+        cache.put(key, advisor.plan(batched_config(CONV2_KEY, 32)))  # warm
+        plan = benchmark(cache.get, key)
         assert plan is not None
         assert cache.hit_rate > 0.99
 

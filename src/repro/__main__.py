@@ -316,7 +316,6 @@ def _server_config(args):
         timeout_s=args.timeout_ms / 1000.0,
         device=DEVICES[args.device],
         plan_cache_capacity=args.cache_capacity,
-        dispatch_memo=not getattr(args, "no_dispatch_memo", False),
     )
 
 
@@ -618,6 +617,12 @@ def cmd_cluster(args) -> int:
     fault_plans = {}
     default_plan = None
     fleet_plan_name = args.fleet_plan
+    if args.fault_replica is not None and (
+            not args.fault_plan or args.fault_plan not in PLAN_NAMES):
+        raise ValueError("--fault-replica needs a per-replica "
+                         "--fault-plan")
+    if args.kill_at is not None and args.kill_replica is None:
+        raise ValueError("--kill-at needs a matching --kill-replica IDX")
     if args.fault_plan:
         if (args.fault_plan in FLEET_PLAN_NAMES
                 and args.fault_plan not in PLAN_NAMES):
@@ -1101,11 +1106,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="queueing timeout before shedding (default 250 ms)")
         p.add_argument("--cache-capacity", type=int, default=128,
                        help="plan cache entries (default 128)")
-        p.add_argument("--no-dispatch-memo", action="store_true",
-                       help="disable the dispatch memo fast path "
-                            "(real-buffer allocation lane; same-seed "
-                            "reports are byte-identical either way, just "
-                            "slower)")
         p.add_argument("--device", choices=sorted(DEVICES),
                        default="Tesla K40c", help="modelled GPU")
 

@@ -17,8 +17,8 @@ decisions, which is what the cluster determinism tests assert:
   noise never perturbs a fault plan's RNG stream or vice versa.
 * ``shape-affinity`` — pin each layer shape to the replica that first
   served it (chosen least-loaded at first sight), so repeated shapes
-  land on warm plan caches.  Exploits the plan cache's
-  ``(shape, batch, device)`` keying: a shape's plans are ranked once
+  land on warm plan caches.  Exploits the per-replica plan cache's
+  ``(shape, batch)`` keying: a shape's plans are ranked once
   per replica, then every later request of that shape is a cache hit
   — the test suite asserts this beats round-robin's hit rate on a
   many-shape trace.  Pins move (least-loaded again) when their

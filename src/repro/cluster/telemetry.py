@@ -11,8 +11,9 @@
   device's ``name@digest``;
 * each replica's plan-cache and dispatch-memo stats become probes
   (the memo's counters deliberately never enter the registry — see
-  :class:`~repro.core.evalcache.DispatchMemo` — so the *probe* path
-  is how its hit rate reaches the window log);
+  :class:`~repro.serve.plan_cache.DispatchMemo` — so the *probe* path
+  is how its hit rate reaches the window log; every replica has one,
+  reporting zero traffic only if its allocator is observed);
 * replica health states are a state probe, recorded per window;
 * completions accepted by the fleet (post hedge-filtering) feed the
   per-tenant / per-shape / per-device latency percentiles;
@@ -81,9 +82,8 @@ class FleetTelemetry:
                                 device=device)
         self.rollups.add_probe(f"{replica.name}.plan_cache",
                                server.plan_cache.stats, device=device)
-        if server.dispatch_memo_stats() is not None:
-            self.rollups.add_probe(f"{replica.name}.dispatch_memo",
-                                   server.dispatch_memo_stats, device=device)
+        self.rollups.add_probe(f"{replica.name}.dispatch_memo",
+                               server.dispatch_memo_stats, device=device)
         self._make_recorder(replica.name, replica.tracer)
 
     def _replica_states(self) -> Dict[str, str]:

@@ -50,7 +50,7 @@ class RankedPlan:
     """The advisor's decision distilled to what a dispatcher needs.
 
     This is the cacheable unit: it carries no live objects, so it can
-    be memoized per ``(shape, batch, device)`` by
+    be memoized per ``(shape, batch)`` by a server's
     :class:`repro.serve.plan_cache.PlanCache` and replayed at dispatch
     time without re-ranking.
     """

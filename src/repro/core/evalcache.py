@@ -30,7 +30,6 @@ may evaluate concurrently.
 from __future__ import annotations
 
 import json
-import math
 import os
 import threading
 import warnings
@@ -466,76 +465,6 @@ def cacheable(impl: ConvImplementation, device: DeviceSpec) -> bool:
         return False
     known = DEVICES.get(device.name)
     return known is device or known == device
-
-
-# ---------------------------------------------------------------------------
-# dispatch memo (serving fast path)
-# ---------------------------------------------------------------------------
-
-class DispatchMemo:
-    """In-process memo of a batch's device memory plan.
-
-    The serving scheduler's dispatch loop re-derives the same memory
-    plan — ``impl.memory_plan(config)`` plus per-buffer 512-byte
-    rounding — for the same ``(shape, batch, implementation, device)``
-    point on every batch; a million-request run repeats a few dozen
-    points hundreds of thousands of times.  This memo caches the
-    *rounded* buffer sizes (and their sum) so a memo hit replays the
-    allocation episode through
-    :meth:`~repro.gpusim.allocator.DeviceAllocator.replay_transient`
-    without touching the adapter or constructing buffers.
-
-    Keys carry a *fault-window epoch* (the serving plan cache's
-    corruption count): a fault plan that corrupts cached plans bumps
-    the epoch, so post-corruption dispatches recompute from the adapter
-    exactly as the unmemoized path would.  Entries are pure values —
-    the memo changes host wall-time only, never simulated time, stats
-    or traces; its own hit/miss counters deliberately stay out of the
-    metrics registry so memo-on and memo-off runs export byte-identical
-    reports.
-    """
-
-    def __init__(self) -> None:
-        self._store: Dict[tuple, Tuple[Tuple[int, ...], int]] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> Dict[str, float]:
-        return {
-            "entries": len(self._store),
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-        }
-
-    def memory_plan(self, key: tuple, impl: ConvImplementation,
-                    config: ConvConfig) -> Tuple[Tuple[int, ...], int]:
-        """``(rounded_sizes, total_rounded)`` for one dispatch point.
-
-        ``key`` is the caller's full memo key — shape, batch,
-        implementation, device and epoch; ``impl``/``config`` are only
-        consulted on a miss.
-        """
-        entry = self._store.get(key)
-        if entry is None:
-            self.misses += 1
-            from ..gpusim.allocator import ALLOC_GRANULARITY
-            # Identical rounding expression to DeviceAllocator.alloc().
-            sizes = tuple(
-                math.ceil(size / ALLOC_GRANULARITY) * ALLOC_GRANULARITY
-                for _tag, size in impl.memory_plan(config) if size > 0)
-            entry = self._store[key] = (sizes, sum(sizes))
-        else:
-            self.hits += 1
-        return entry
 
 
 def evaluate(impl: ConvImplementation, config: ConvConfig,

@@ -14,7 +14,8 @@ subsystem composes the existing pieces:
   requests under a max-batch / max-wait policy, padded to power-of-two
   buckets so the plan cache stays small;
 * :mod:`repro.serve.plan_cache` — LRU memoization of advisor-ranked
-  implementation choices per ``(shape, batch, device)``;
+  implementation choices per ``(shape, batch)`` on the server's
+  device, and the dispatch memo behind allocation replay;
 * :mod:`repro.serve.scheduler` — the worker loop: executes batches
   through the shared framework adapters, advances a deterministic
   :class:`~repro.gpusim.timing.SimClock`, and tracks device memory

@@ -1,32 +1,42 @@
-"""LRU plan cache.
+"""The serving layer's per-server caches.
 
-Ranking the seven implementations for one configuration means seven
-simulated profiles — fine offline, far too slow per batch.  Since the
-ranking is a pure function of ``(shape, batch, device)``, the cache
-memoizes the advisor's ranking per key — a tuple of
+:class:`PlanCache` — the plan tier.  Ranking the seven implementations
+for one configuration means seven simulated profiles — fine offline,
+far too slow per batch.  Since the ranking is a pure function of
+``(shape, batch)`` on the server's one device, the cache memoizes the
+advisor's ranking per key — a tuple of
 :class:`~repro.core.advisor.RankedPlan`, fastest first, so the
 resilient dispatcher can fall back down the same cached ordering —
 with LRU eviction, and the batcher's power-of-two bucketing keeps the
-key space tiny, so steady-state dispatch is a dictionary hit.
+key space tiny, so steady-state dispatch is a dictionary hit.  The
+dispatch path looks a key up with :meth:`PlanCache.get` and, on a
+miss, ranks and stores it with :meth:`PlanCache.put`.
 
-This is the *plan-level* tier only.  The per-implementation evaluation
-records underneath a ranking live in the process-wide
-:class:`~repro.core.evalcache.EvalCache` (the advisor routes every
-``evaluate`` through it), so a plan-cache miss whose points were
-already touched by a figure pipeline — or by another server — still
-skips the simulation and only re-ranks; this cache's former private
-memoization of those evaluations is retired onto that shared store.
+The per-implementation evaluation records underneath a ranking live
+in the process-wide :class:`~repro.core.evalcache.EvalCache` (the
+advisor routes every ``evaluate`` through it), so a plan-cache miss
+whose points were already touched by a figure pipeline — or by
+another server — still skips the simulation and only re-ranks.  That
+store is shared across devices, so its keys carry the device digest;
+the caches here belong to one server and one device, so theirs do
+not.
 
 Infeasible configurations are cached too (as ``None``): re-discovering
 "nothing fits" per batch would be the same wasted ranking.
+
+:class:`DispatchMemo` — the allocation tier: the rounded buffer sizes
+of one dispatch's memory plan, replayed through the allocator while
+nothing observes it.
 """
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
-from typing import Callable, Dict, Hashable, Optional
+from typing import Dict, Hashable, Optional, Tuple
 
 from ..core.advisor import RankedPlan
+from ..gpusim.allocator import ALLOC_GRANULARITY
 
 #: Sentinel distinguishing "not cached" from a cached None (infeasible).
 _MISSING = object()
@@ -77,17 +87,6 @@ class PlanCache:
             self._entries.popitem(last=False)
             self.evictions += 1
 
-    def get_or_compute(self, key: Hashable,
-                       compute: Callable[[], Optional[RankedPlan]]
-                       ) -> Optional[RankedPlan]:
-        """The dispatch entry point: one lookup, ranking only on miss."""
-        value = self.get(key)
-        if value is not _MISSING:
-            return value
-        plan = compute()
-        self.put(key, plan)
-        return plan
-
     def corrupt(self, n: int) -> int:
         """Invalidate up to ``n`` entries, least recently used first.
 
@@ -116,3 +115,67 @@ class PlanCache:
             "corruptions": self.corruptions,
             "hit_rate": self.hit_rate,
         }
+
+
+class DispatchMemo:
+    """Per-server memo of a batch's device memory plan.
+
+    The dispatch loop re-derives the same memory plan —
+    ``impl.memory_plan(config)`` plus per-buffer 512-byte rounding —
+    for the same ``(shape, batch, implementation)`` point on every
+    batch; a million-request run repeats a few dozen points hundreds
+    of thousands of times.  This memo caches the *rounded* buffer
+    sizes (and their sum) so a hit replays the allocation episode
+    through
+    :meth:`~repro.gpusim.allocator.DeviceAllocator.replay_transient`
+    without touching the adapter or constructing buffers.
+
+    The memory plan is a pure function of the implementation and the
+    batched configuration, so the key is exactly that point: no
+    device (each server owns its memo and serves one device) and no
+    fault epoch (plan-cache corruption drops rankings, never changes
+    a memory plan).  Entries change host wall-time only, never
+    simulated time, stats or traces; the hit/miss counters stay out
+    of the metrics registry so replay and real-buffer runs export
+    byte-identical reports.
+    """
+
+    def __init__(self) -> None:
+        self._store: Dict[tuple, Tuple[Tuple[int, ...], int]] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._store)
+
+    @property
+    def hit_rate(self) -> float:
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
+    def stats(self) -> Dict[str, float]:
+        return {
+            "entries": len(self._store),
+            "hits": self.hits,
+            "misses": self.misses,
+            "hit_rate": self.hit_rate,
+        }
+
+    def memory_plan(self, key: tuple, impl,
+                    config) -> Tuple[Tuple[int, ...], int]:
+        """``(rounded_sizes, total_rounded)`` for one dispatch point.
+
+        ``key`` is ``(shape key, padded batch, implementation name)``;
+        ``impl``/``config`` are only consulted on a miss.
+        """
+        entry = self._store.get(key)
+        if entry is None:
+            self.misses += 1
+            # Identical rounding expression to DeviceAllocator.alloc().
+            sizes = tuple(
+                math.ceil(size / ALLOC_GRANULARITY) * ALLOC_GRANULARITY
+                for _tag, size in impl.memory_plan(config) if size > 0)
+            entry = self._store[key] = (sizes, sum(sizes))
+        else:
+            self.hits += 1
+        return entry

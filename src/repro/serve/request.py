@@ -4,8 +4,8 @@ A request is one inference sample for one convolutional layer shape —
 the unit the batcher coalesces.  Shapes are identified by a
 :data:`ShapeKey`, the :class:`~repro.config.ConvConfig` 6-tuple with
 the batch dimension removed: two requests share a key exactly when
-they can ride in the same batch, and the plan cache keys on
-``(ShapeKey, batch, device)``.
+they can ride in the same batch, and a server's plan cache keys on
+``(ShapeKey, batch)``.
 """
 
 from __future__ import annotations

@@ -58,15 +58,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.advisor import Advisor, RankedPlan
-from ..core.evalcache import DispatchMemo
-from ..gpusim.device import spec_digest
 from ..errors import (DeviceOOMError, MemoryPressureError, ReproError,
                       TransientKernelError)
 from ..faults import FaultInjector, FaultPlan
 from ..frameworks.calibration import CONTEXT_BYTES
 from ..frameworks.registry import resolve_implementation, shared_implementations
 from ..gpusim.allocator import Buffer, DeviceAllocator
-from ..gpusim.device import DeviceSpec, K40C
+from ..gpusim.device import DeviceSpec, K40C, spec_digest
 from ..gpusim.timing import SimClock
 from ..obs.context import Observability, obs_session
 from ..obs.slo import SLOMonitor, SLOPolicy, SLOReport
@@ -75,7 +73,7 @@ from ..obs.tracer import SimTracer, TraceSampler
 from ..rng import DEFAULT_SEED
 from .batcher import BatchPolicy, DynamicBatcher
 from .loadgen import Arrival
-from .plan_cache import PlanCache, _MISSING
+from .plan_cache import DispatchMemo, PlanCache, _MISSING
 from .queue import AdmissionQueue
 from .request import Request, ShapeKey, batched_config, fast_request
 from .resilience import CircuitBreaker, ResilienceConfig
@@ -108,12 +106,6 @@ class ServerConfig:
     #: ``None`` (the default) keeps the run byte-identical to an
     #: unmonitored one.
     slo: Optional[SLOPolicy] = None
-    #: Memoize per-(shape, batch, implementation) memory plans so
-    #: repeat dispatches replay the allocation episode instead of
-    #: re-deriving it (:class:`~repro.core.evalcache.DispatchMemo`).
-    #: Purely a host-time optimisation — reports, metrics and traces
-    #: are byte-identical with it off.
-    dispatch_memo: bool = True
     #: Attach live windowed rollups (:mod:`repro.obs.timeseries`).
     #: ``None`` (the default) runs without the telemetry plane; the
     #: plane itself is observational only — the report is
@@ -132,6 +124,11 @@ class Server:
     through a :class:`~repro.faults.injector.FaultInjector` seeded with
     ``fault_seed``; ``None`` (or a no-op plan) leaves the scheduler on
     the exact fault-free path.
+
+    ``record_timeline=True`` observes the allocator, appending one
+    ``(simulated time, bytes in use)`` point per allocator event to
+    :attr:`memory_timeline`; an observed allocator gets real buffers
+    instead of dispatch-memo replay (see :meth:`_dispatch`).
 
     :meth:`run` drives one whole arrival trace to completion.  The
     loop underneath it is exposed as a *session* API —
@@ -158,14 +155,12 @@ class Server:
         self.plan_cache = PlanCache(config.plan_cache_capacity)
         self.clock = SimClock()
         self._device_name = config.device.name
-        # Cache keys carry the full spec digest, not just the display
-        # name, so plans never leak between two devices that happen to
-        # share a label (e.g. a tweaked profile under the same name).
-        self._device_key = (config.device.name, spec_digest(config.device))
         #: ``name@digest`` — the device *identity* label every
         #: device-split telemetry series carries (same convention as
-        #: :func:`repro.core.evalcache.device_key`).
-        self._device_label = f"{self._device_key[0]}@{self._device_key[1]}"
+        #: :func:`repro.core.evalcache.device_key`).  The plan cache and
+        #: dispatch memo serve this one device, so their keys omit it.
+        self._device_label = (f"{config.device.name}@"
+                              f"{spec_digest(config.device)}")
         # Pre-bound plan-cache traffic counters (hot path: one method
         # call per lookup, no label-key construction).  Device-labeled
         # so mixed-fleet rollups split cleanly by device class.
@@ -176,15 +171,9 @@ class Server:
         self._pc_misses = registry.counter("serve_plan_cache_requests_total",
                                            device=self._device_label,
                                            result="miss")
-        #: Memory-plan memo behind the replay allocation lane; None
-        #: when disabled (``--no-dispatch-memo``).
-        self._memo: Optional[DispatchMemo] = (DispatchMemo()
-                                              if config.dispatch_memo
-                                              else None)
+        #: Memory-plan memo behind the replay allocation lane.
+        self._memo = DispatchMemo()
         self._fallback_limit = 1 + config.resilience.max_fallbacks
-        # (key, padded) -> LayerConfig; pure function of its key, so
-        # the frozen configs are shared across dispatches.
-        self._config_cache: Dict[Tuple[ShapeKey, int], object] = {}
         #: (simulated time, bytes in use) per allocator event, when
         #: timeline recording is on.
         self.memory_timeline: List[Tuple[float, int]] = []
@@ -246,20 +235,21 @@ class Server:
         self.obs.tracer = tracer
         return tracer
 
-    def dispatch_memo_stats(self) -> Optional[Dict[str, object]]:
-        """Hit/miss counters of the dispatch memo (None when disabled).
+    def dispatch_memo_stats(self) -> Dict[str, object]:
+        """Hit/miss counters of the dispatch memo (all zero on a
+        server whose allocator is observed: it never replays).
 
         Deliberately *not* part of the metrics registry or the report:
         the memo is purely a host-side optimisation, and folding its
-        traffic into observable state would break the memo-on/off
-        byte-identity invariant the benches gate on.
+        traffic into observable state would break the byte identity of
+        the replay and real-buffer lanes the benches gate on.
         """
-        return None if self._memo is None else self._memo.stats()
+        return self._memo.stats()
 
     # ------------------------------------------------------------------
 
     def _plan_for(self, key: ShapeKey, batch: int) -> Tuple[RankedPlan, ...]:
-        cache_key = (key, batch, self._device_key)
+        cache_key = (key, batch)
         with self.obs.tracer.span("serve.plan", cat="serve",
                                   batch=batch) as sp:
             plans = self.plan_cache.get(cache_key)
@@ -305,14 +295,14 @@ class Server:
 
         The memory plan reaches the allocator by one of two lanes.
         While nothing observes the allocator, the
-        :class:`~repro.core.evalcache.DispatchMemo` supplies the
-        rounded buffer sizes (keyed by shape, batch, implementation,
-        device and the plan-cache corruption epoch) and
+        :class:`~repro.serve.plan_cache.DispatchMemo` supplies the
+        rounded buffer sizes (keyed by shape, batch and implementation)
+        and
         :meth:`~repro.gpusim.allocator.DeviceAllocator.replay_transient`
-        charges them.  Otherwise (``record_timeline`` or
-        ``dispatch_memo=False``) real tagged buffers are allocated and
-        held across the service time.  Both lanes give the same peak,
-        errors, clock and accounting; spans never see the difference.
+        charges them.  Otherwise (``record_timeline=True``) real tagged
+        buffers are allocated and held across the service time.  Both
+        lanes give the same peak, errors, clock and accounting; spans
+        never see the difference.
         """
         impl_name = plan.implementation
         impl = resolve_implementation(impl_name)
@@ -320,11 +310,10 @@ class Server:
         clock = self.clock
         injector = self._injector
         tracer = self.obs.tracer
-        replay = self._memo is not None and not allocator.observed
+        replay = not allocator.observed
         if replay:
             sizes, total = self._memo.memory_plan(
-                (requests[0].key, padded, impl_name, self._device_key,
-                 self.plan_cache.corruptions), impl, config)
+                (requests[0].key, padded, impl_name), impl, config)
         attempts = 0
         buffers: List[Buffer] = []
         with tracer.span("serve.dispatch", cat="serve",
@@ -451,10 +440,7 @@ class Server:
             stats.oom_shed += len(requests)
             stats.record_shed("infeasible", len(requests))
             return
-        config = self._config_cache.get((key, padded))
-        if config is None:
-            config = self._config_cache[(key, padded)] = \
-                batched_config(key, padded)
+        config = batched_config(key, padded)
         tracer = self.obs.tracer
         limit = self._fallback_limit
         for rank, plan in enumerate(plans[:limit]):
@@ -523,9 +509,8 @@ class Server:
                            device=self._device_label)
             tel.add_probe("plan_cache", self.plan_cache.stats,
                           device=self._device_label)
-            if self._memo is not None:
-                tel.add_probe("dispatch_memo", self._memo.stats,
-                              device=self._device_label)
+            tel.add_probe("dispatch_memo", self._memo.stats,
+                          device=self._device_label)
             self.telemetry = tel
         self._breaker_base = (self._breaker.trips, self._breaker.skips)
         self._injector_base = (0, 0)

@@ -100,18 +100,15 @@ class TestDeviceThreading:
         cluster.run(TRACE)
         k40c_plans = cluster.replicas[0].server.plan_cache._entries
         maxwell_plans = cluster.replicas[1].server.plan_cache._entries
-        shared = set(k40c_plans) & set(maxwell_plans)
-        assert not shared            # digest-bearing keys never collide
-        # Maxwell is strictly faster: its winning plan for any common
-        # shape must be faster than K40c's.
-        by_shape = {}
-        for (key, batch, dev), plans in k40c_plans.items():
-            if plans:
-                by_shape[(key, batch)] = plans[0].time_s
+        # Each cache belongs to one replica's server, so its keys are
+        # (shape, batch) alone and the same key appears in both — with
+        # different rankings.  Maxwell is strictly faster: its winning
+        # plan for any common key must be faster than K40c's.
         compared = 0
-        for (key, batch, dev), plans in maxwell_plans.items():
-            if plans and (key, batch) in by_shape:
-                assert plans[0].time_s < by_shape[(key, batch)]
+        for key, plans in maxwell_plans.items():
+            theirs = k40c_plans.get(key)
+            if plans and theirs:
+                assert plans[0].time_s < theirs[0].time_s
                 compared += 1
         assert compared > 0
 

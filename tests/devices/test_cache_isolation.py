@@ -1,16 +1,16 @@
 """Cross-device cache isolation.
 
-Satellite requirement: evaluation-cache and dispatch-memo keys carry
-the device-spec digest, so a record computed on one device can never
-serve another — even one under the same display name with different
-numbers.
+Evaluation-cache keys carry the device-spec digest, so a record
+computed on one device can never serve another — even one under the
+same display name with different numbers.  The per-server caches (plan
+cache, dispatch memo) serve exactly one device and key without it.
 """
 
 from dataclasses import replace
 
 from repro.config import ConvConfig
 from repro.core import evalcache
-from repro.core.evalcache import DispatchMemo, cache_key, device_key
+from repro.core.evalcache import cache_key, device_key
 from repro.frameworks.registry import get_implementation
 from repro.gpusim.device import DEVICES, K40C, TITAN_X, spec_digest
 
@@ -67,42 +67,16 @@ class TestSpecDigest:
 
 
 class TestDispatchMemoIsolation:
-    def memo_key(self, device, corruptions=0):
-        from repro.serve.request import shape_key
-        return (shape_key(CONFIG), 64, "cudnn",
-                (device.name, spec_digest(device)), corruptions)
-
-    def test_cross_device_hit_impossible(self):
-        """Same shape, batch and implementation on two devices must
-        occupy distinct memo entries."""
-        memo = DispatchMemo()
-        impl = get_implementation("cudnn")
-        sizes_a, total_a = memo.memory_plan(self.memo_key(K40C), impl,
-                                            CONFIG)
-        stats = memo.stats()
-        assert stats["misses"] == 1
-        memo.memory_plan(self.memo_key(TITAN_X), impl, CONFIG)
-        stats = memo.stats()
-        assert stats["misses"] == 2      # no cross-device hit
-        # Same device again: a genuine hit with identical content.
-        sizes_b, total_b = memo.memory_plan(self.memo_key(K40C), impl,
-                                            CONFIG)
-        assert memo.stats()["hits"] == 1
-        assert (sizes_b, total_b) == (sizes_a, total_a)
-
-    def test_same_name_different_spec_distinct_entries(self):
-        memo = DispatchMemo()
-        impl = get_implementation("cudnn")
-        impostor = replace(K40C, shared_memory_per_sm=2 * 49152)
-        memo.memory_plan(self.memo_key(K40C), impl, CONFIG)
-        memo.memory_plan(self.memo_key(impostor), impl, CONFIG)
-        assert memo.stats()["misses"] == 2
-        assert memo.stats()["hits"] == 0
+    """The dispatch memo and plan cache belong to one server, and a
+    server serves one device, so their keys need no device; the
+    device identity lives on the server (and in the shared evalcache
+    keys above)."""
 
     def test_server_memo_key_carries_digest(self):
         from repro.serve.scheduler import Server, ServerConfig
         server = Server(ServerConfig(device=TITAN_X))
-        assert server._device_key == (TITAN_X.name, spec_digest(TITAN_X))
+        assert server.device_label == \
+            f"{TITAN_X.name}@{spec_digest(TITAN_X)}"
 
 
 class TestEvalCacheIsolation:

@@ -112,7 +112,7 @@ class TestCorruptions:
         clock = SimClock()
         cache = PlanCache(capacity=8)
         for i in range(4):
-            cache.get_or_compute(("k", i), lambda: (i,))
+            cache.put(("k", i), (i,))
         inj.install(clock, allocator=None, plan_cache=cache)
         clock.advance_to(0.5)
         assert inj.entries_corrupted == 0

@@ -1,6 +1,9 @@
 """Fast-path invariants: the dispatch memo, the lazy head heap, bulk
 histogram observation, allocation replay, and sampled tracing must all
-be invisible in the simulated results — same seed, same bytes."""
+be invisible in the simulated results — same seed, same bytes.
+
+The allocation lane is chosen by the allocator alone: memo replay while
+nothing observes it, real buffers under ``record_timeline=True``."""
 
 import json
 
@@ -29,14 +32,15 @@ FAULT_PLANS = ["straggler", "transient-top", "memory-pressure",
                "cache-chaos", "chaos"]
 
 
-def run_bytes(dispatch_memo, fault_plan=None, max_batch=64,
+def run_bytes(record_timeline, fault_plan=None, max_batch=64,
               trace_sample=0):
     """The report JSON of one run, and its JSONL trace (None when
-    untraced)."""
+    untraced).  ``record_timeline`` observes the allocator, which
+    selects the real-buffer lane over memo replay."""
     policy = (BatchPolicy() if max_batch > 1
               else BatchPolicy(max_batch=1, max_wait_s=0.0))
-    config = ServerConfig(policy=policy, dispatch_memo=dispatch_memo)
-    server = Server(config, fault_plan=fault_plan, fault_seed=11)
+    server = Server(ServerConfig(policy=policy), fault_plan=fault_plan,
+                    fault_seed=11, record_timeline=record_timeline)
     tracer = server.enable_tracing(sample=trace_sample) \
         if trace_sample else None
     report = json.dumps(server.run(TRACE).to_dict(), sort_keys=True)
@@ -44,25 +48,28 @@ def run_bytes(dispatch_memo, fault_plan=None, max_batch=64,
                     else "\n".join(jsonl_lines(tracer)))
 
 
-def report_bytes(dispatch_memo, fault_plan=None, max_batch=64,
+def report_bytes(record_timeline, fault_plan=None, max_batch=64,
                  trace_sample=0):
-    return run_bytes(dispatch_memo, fault_plan, max_batch, trace_sample)[0]
+    return run_bytes(record_timeline, fault_plan, max_batch,
+                     trace_sample)[0]
 
 
 class TestMemoByteIdentity:
+    """Unobserved (memo replay) vs observed (real buffers) runs."""
+
     def test_plain_run_identical(self):
-        assert report_bytes(True) == report_bytes(False)
+        assert report_bytes(False) == report_bytes(True)
 
     def test_batch1_run_identical(self):
-        assert (report_bytes(True, max_batch=1)
-                == report_bytes(False, max_batch=1))
+        assert (report_bytes(False, max_batch=1)
+                == report_bytes(True, max_batch=1))
 
     @pytest.mark.parametrize("plan", FAULT_PLANS)
     def test_fault_plans_identical(self, plan):
-        # The ISSUE's headline case: chaos runs must not observe the
-        # memo — the fault ladder replays byte-exactly.
-        assert (report_bytes(True, named_plan(plan))
-                == report_bytes(False, named_plan(plan)))
+        # Chaos runs must not observe the memo — the fault ladder
+        # replays byte-exactly on either lane.
+        assert (report_bytes(False, named_plan(plan))
+                == report_bytes(True, named_plan(plan)))
 
     @pytest.mark.parametrize("sample", [1, 4])
     @pytest.mark.parametrize("plan", [None] + FAULT_PLANS)
@@ -70,13 +77,13 @@ class TestMemoByteIdentity:
         # Traced runs replay the memo too; the report and the exported
         # span trace must not see which allocation lane ran.
         fault_plan = named_plan(plan) if plan else None
-        on = run_bytes(True, fault_plan, trace_sample=sample)
-        off = run_bytes(False, fault_plan, trace_sample=sample)
-        assert on[1] is not None
-        assert on == off
+        replay = run_bytes(False, fault_plan, trace_sample=sample)
+        real = run_bytes(True, fault_plan, trace_sample=sample)
+        assert replay[1] is not None
+        assert replay == real
 
     def test_memo_counts_hits(self):
-        server = Server(ServerConfig(dispatch_memo=True))
+        server = Server(ServerConfig())
         server.run(TRACE)
         stats = server.dispatch_memo_stats()
         assert stats["hits"] > 0
@@ -84,28 +91,37 @@ class TestMemoByteIdentity:
         # One cold miss per distinct point, everything else a hit.
         assert stats["hit_rate"] > 0.5
 
-    def test_memo_off_reports_none(self):
-        server = Server(ServerConfig(dispatch_memo=False))
+    def test_observed_server_reports_zero_memo_traffic(self):
+        server = Server(ServerConfig(), record_timeline=True)
         server.run(TRACE)
-        assert server.dispatch_memo_stats() is None
+        stats = server.dispatch_memo_stats()
+        assert (stats["hits"], stats["misses"]) == (0, 0)
+        assert server.memory_timeline
 
-    def test_cache_corruption_rolls_memo_epoch(self):
-        # The memo key embeds the plan-cache corruption counter; a
-        # chaos corruption must start a fresh epoch, not serve stale
-        # plans from before the flush.
+    def test_cache_corruption_keeps_memo_entries(self):
+        # Corruption drops plan rankings, never a memory plan: the memo
+        # is keyed by (shape, batch, implementation) only, so a
+        # corrupted run re-ranks but replays the entries it already has.
         # Long enough for the plan's corruption events to fire.
         trace = generate_trace(TrafficSpec(duration_s=3.0, rate_rps=4000.0,
                                            seed=7))
-        plain = Server(ServerConfig(dispatch_memo=True))
+        plain = Server(ServerConfig())
         plain.run(trace)
-        chaos = Server(ServerConfig(dispatch_memo=True),
-                       fault_plan=named_plan("cache-chaos"), fault_seed=11)
-        chaos.run(trace)
+
+        def chaos_run(observed):
+            server = Server(ServerConfig(),
+                            fault_plan=named_plan("cache-chaos"),
+                            fault_seed=11, record_timeline=observed)
+            report = json.dumps(server.run(trace).to_dict(), sort_keys=True)
+            return server, report
+
+        chaos, report = chaos_run(False)
         assert chaos.plan_cache.corruptions > 0
         # cache-chaos leaves timing untouched, so the dispatch points
-        # repeat — every corruption re-misses them under the new epoch.
+        # are the fault-free run's.
         assert (chaos.dispatch_memo_stats()["entries"]
-                > plain.dispatch_memo_stats()["entries"])
+                == plain.dispatch_memo_stats()["entries"])
+        assert report == chaos_run(True)[1]
 
 
 class TestHeadHeap:
@@ -139,16 +155,6 @@ class TestHeadHeap:
         self.offer(queue, 0, KEY, 1.0)
         self.offer(queue, 1, KEY2, 1.0)  # same arrival, later lane
         assert queue.oldest_lane()[0] == KEY
-
-    def test_push_front_restores_oldest(self):
-        queue = AdmissionQueue()
-        self.offer(queue, 0, KEY, 1.0)
-        self.offer(queue, 1, KEY2, 2.0)
-        taken = queue.take(KEY, 4)
-        assert queue.oldest_lane()[0] == KEY2
-        queue.push_front(KEY, taken)  # OOM split returns the batch
-        assert queue.oldest_lane()[0] == KEY
-        assert queue.oldest_arrival() == 1.0
 
     def test_shed_rebuilds_heap(self):
         queue = AdmissionQueue()
@@ -237,7 +243,7 @@ class TestReplayTransient:
 
 class TestTraceSampler:
     def run_traced(self, sample):
-        server = Server(ServerConfig(dispatch_memo=True))
+        server = Server(ServerConfig())
         tracer = server.enable_tracing(sample=sample)
         report = server.run(TRACE)
         return tracer, json.dumps(report.to_dict(), sort_keys=True)
@@ -261,14 +267,14 @@ class TestTraceSampler:
 
     def test_untraced_report_matches_traced(self):
         # Tracing (full or sampled) must not perturb simulated results.
-        assert report_bytes(True) == self.run_traced(1)[1]
-        assert report_bytes(True) == report_bytes(True, trace_sample=4)
+        assert report_bytes(False) == self.run_traced(1)[1]
+        assert report_bytes(False) == report_bytes(False, trace_sample=4)
 
     def test_memo_traffic_independent_of_tracing(self):
         # One dispatch path: tracing and sampling never pick the lane,
         # so the memo sees the same hits and misses at any rate.
         def memo_stats(sample):
-            server = Server(ServerConfig(dispatch_memo=True))
+            server = Server(ServerConfig())
             if sample:
                 server.enable_tracing(sample=sample)
             server.run(TRACE)

@@ -644,6 +644,19 @@ class TestClusterCommand:
         assert main(["cluster", "--quick", "--kill-replica", "1"]) == 1
         assert "--kill-at" in capsys.readouterr().err
 
+    def test_kill_time_without_replica_fails(self, capsys):
+        assert main(["cluster", "--quick", "--kill-at", "0.5"]) == 1
+        assert "--kill-replica" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("plan", [[], ["--fault-plan", "crash"]])
+    def test_fault_replica_without_replica_plan_fails(self, plan, capsys):
+        # No --fault-plan at all, or a fleet-level one (which never
+        # reaches per-replica injectors): nothing for the index to
+        # restrict.
+        assert main(["cluster", "--quick", "--fault-replica", "0"]
+                    + plan) == 1
+        assert "--fault-replica" in capsys.readouterr().err
+
     def test_kill_is_reported(self, capsys):
         assert main(self.ARGS + ["--kill-replica", "1",
                                  "--kill-at", "0.15"]) == 0
