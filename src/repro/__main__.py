@@ -20,7 +20,7 @@ Commands
     Run the consistency audits on every implementation.
 ``report <path>``
     Regenerate the full study as one markdown document.
-``serve [--rate ... --duration ...]``
+``serve [--rate ... --duration ... --fault-plan ...]``
     Run simulated inference traffic through the serving subsystem.
 ``loadgen [--seed ...]``
     Generate a deterministic trace and compare dynamic batching
@@ -41,9 +41,6 @@ Commands
     ``--health`` attaches the self-healing plane (heartbeat probes,
     supervisor restarts); ``--hedge-after-ms`` adds hedged requests,
     ``--fleet-plan`` injects fleet chaos.
-``trace [--out ...]``
-    Run one traced serving run and export its span timeline
-    (Chrome-trace/Perfetto JSON, or the JSONL event log).
 ``analyze <trace.jsonl> [--baseline other.jsonl]``
     Offline trace analytics: critical path, span aggregates and the
     hotspot table; with ``--baseline``, a ranked "what got slower and
@@ -55,16 +52,18 @@ Commands
     Diff the calibrated headline quantities against the stored
     baseline; any drift beyond tolerance exits non-zero (CI gate).
 
-``serve``, ``chaos`` and ``compare`` also accept ``--trace PATH``
-(record the run's span tree) and ``--metrics [PATH]`` (emit the
-end-of-run metrics snapshot; with no PATH it prints, under ``--json``
-it embeds).  ``serve --slo [RULES]`` attaches the simulated-time SLO
-monitor to the run.
+``serve``, ``chaos``, ``cluster`` and ``compare`` also accept
+``--trace PATH`` (record the run's span tree; ``.jsonl`` selects the
+JSONL event log) and ``--metrics [PATH]`` (emit the end-of-run metrics
+snapshot; with no PATH it prints, under ``--json`` it embeds).
+``serve --slo [RULES]`` attaches the simulated-time SLO monitor.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
 import sys
 
 from . import EXPERIMENTS, run_experiment
@@ -142,7 +141,6 @@ def cmd_advise(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    import json
     import time
 
     from .core import evalcache
@@ -251,8 +249,6 @@ def _validate_devices() -> int:
     """``repro devices --validate``: schema-check every shipped profile
     and byte-diff the legacy-named ones against the hand-built specs
     (the CI ``devices-smoke`` job gates on this)."""
-    import json
-
     from .devices import PROFILE_DIR, default_registry, selftest, \
         validate_profile
 
@@ -304,6 +300,26 @@ def _traffic_spec(args):
                        pattern=args.pattern, seed=args.seed)
 
 
+def _traffic_doc(trace, spec) -> dict:
+    """The ``traffic`` section of every serving command's ``--json``."""
+    return {"arrivals": len(trace), "duration_s": spec.duration_s,
+            "pattern": spec.pattern, "seed": spec.seed}
+
+
+def _report_digest(report) -> str:
+    """sha256 of a report's canonical JSON: the determinism digest."""
+    blob = json.dumps(report.to_dict(), sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def _slo_rules(path):
+    """SLO rules from a JSON file, or the built-in set for a bare
+    ``--slo`` (``-``) or no path at all."""
+    from .obs.slo import DEFAULT_RULES, load_rules
+
+    return DEFAULT_RULES if not path or path == "-" else load_rules(path)
+
+
 def _server_config(args):
     from .gpusim.device import DEVICES
     from .serve import BatchPolicy, ServerConfig
@@ -320,36 +336,36 @@ def _server_config(args):
 
 
 def cmd_serve(args) -> int:
-    import json
     from dataclasses import replace
 
+    from .faults import named_plan
     from .serve import Server, generate_trace, trace_summary
 
     spec = _traffic_spec(args)
     trace = generate_trace(spec)
     config = _server_config(args)
     if args.slo:
-        from .obs.slo import DEFAULT_RULES, SLOPolicy, load_rules
+        from .obs.slo import SLOPolicy
 
-        rules = DEFAULT_RULES if args.slo == "-" else load_rules(args.slo)
-        config = replace(config, slo=SLOPolicy(rules=rules))
+        config = replace(config, slo=SLOPolicy(rules=_slo_rules(args.slo)))
     tel_config = _telemetry_config(args)
     if tel_config is not None:
         config = replace(config, telemetry=tel_config)
-    server = Server(config)
+    plan = (named_plan(args.fault_plan, duration_s=spec.duration_s)
+            if args.fault_plan else None)
+    server = Server(config, fault_plan=plan, fault_seed=spec.seed)
     if args.trace:
-        server.enable_tracing(sample=getattr(args, "trace_sample", 1))
+        server.enable_tracing(sample=args.trace_sample)
     report = server.run(trace)
     slo_ok = server.slo_report is None or server.slo_report.passed
     if args.trace:
+        # fault_plan only when given: plain traces keep their bytes.
+        meta = {"fault_plan": plan.name} if plan else {}
         _write_trace(args.trace, server.obs.tracer, server.obs.registry,
-                     command="serve", seed=spec.seed)
+                     command="serve", seed=spec.seed, **meta)
     _emit_telemetry(args, server.telemetry)
     if args.json:
-        doc = {"traffic": {"arrivals": len(trace),
-                           "duration_s": spec.duration_s,
-                           "pattern": spec.pattern,
-                           "seed": spec.seed},
+        doc = {"traffic": _traffic_doc(trace, spec),
                "stats": report.to_dict()}
         if server.slo_report is not None:
             doc["slo"] = server.slo_report.to_dict()
@@ -357,6 +373,8 @@ def cmd_serve(args) -> int:
         print(json.dumps(doc, indent=2))
         return 0 if slo_ok else 1
     print(trace_summary(trace, spec))
+    if plan is not None:
+        print(f"\nfault plan: {plan.describe()}")
     print()
     print(report.render())
     if server.slo_report is not None:
@@ -400,9 +418,6 @@ def _cmd_chaos_cluster(args) -> int:
     and the post-recovery tail latency is back at the pre-fault
     baseline.
     """
-    import hashlib
-    import json
-
     from .cluster import Cluster, ClusterConfig, HealthConfig
     from .faults import named_fleet_plan
     from .obs.hist import percentile
@@ -432,14 +447,10 @@ def _cmd_chaos_cluster(args) -> int:
             for c in r.server.stats.completions)
         return report, completions
 
-    def digest(report):
-        blob = json.dumps(report.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
-
     baseline, _ = run_once(False)
     chaos, completions = run_once(True)
     rerun, _ = run_once(True)
-    deterministic = digest(chaos) == digest(rerun)
+    deterministic = _report_digest(chaos) == _report_digest(rerun)
 
     # Recovery: tail latency over the run's last fifth must be back at
     # (within 50% of) the pre-fault level.  Both windows come from the
@@ -468,10 +479,7 @@ def _cmd_chaos_cluster(args) -> int:
 
     if args.json:
         doc = {
-            "traffic": {"arrivals": len(trace),
-                        "duration_s": spec.duration_s,
-                        "pattern": spec.pattern,
-                        "seed": spec.seed},
+            "traffic": _traffic_doc(trace, spec),
             "fleet_plan": {"name": plan.name,
                            "description": plan.describe(),
                            "replicas": args.replicas,
@@ -486,7 +494,7 @@ def _cmd_chaos_cluster(args) -> int:
                          "recovered": recovered},
             "scorecard_reconciled": reconciled,
             "deterministic": deterministic,
-            "digest": digest(chaos),
+            "digest": _report_digest(chaos),
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
         return 0 if ok else 1
@@ -508,9 +516,6 @@ def _cmd_chaos_cluster(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    import hashlib
-    import json
-
     from .faults import named_plan
     from .serve import Server, generate_trace, trace_summary
 
@@ -529,7 +534,7 @@ def cmd_chaos(args) -> int:
         server = Server(config, fault_plan=plan if with_faults else None,
                         fault_seed=fault_seed)
         if trace_path:
-            server.enable_tracing(sample=getattr(args, "trace_sample", 1))
+            server.enable_tracing(sample=args.trace_sample)
         report = server.run(trace)
         if trace_path:
             _write_trace(trace_path, server.obs.tracer, server.obs.registry,
@@ -537,25 +542,18 @@ def cmd_chaos(args) -> int:
                          fault_plan=plan.name)
         return report, server
 
-    def digest(report):
-        blob = json.dumps(report.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
-
     baseline, _ = run_once(False)
     # Only the first chaos run is traced; the untraced re-run doubles
     # as a check that tracing never changes the simulated outcome.
     chaos, chaos_server = run_once(True, trace_path=args.trace)
     rerun, _ = run_once(True)
-    deterministic = digest(chaos) == digest(rerun)
+    deterministic = _report_digest(chaos) == _report_digest(rerun)
     ratio = (chaos.completed / baseline.completed
              if baseline.completed else 0.0)
 
     if args.json:
         doc = {
-            "traffic": {"arrivals": len(trace),
-                        "duration_s": spec.duration_s,
-                        "pattern": spec.pattern,
-                        "seed": spec.seed},
+            "traffic": _traffic_doc(trace, spec),
             "fault_plan": {"name": plan.name,
                            "description": plan.describe(),
                            "seed": fault_seed},
@@ -564,7 +562,7 @@ def cmd_chaos(args) -> int:
             "completion_ratio": ratio,
             "unhandled_errors": chaos.unhandled_errors,
             "deterministic": deterministic,
-            "digest": digest(chaos),
+            "digest": _report_digest(chaos),
         }
         _emit_metrics(args, chaos_server.obs.registry, embed=doc)
         print(json.dumps(doc, indent=2))
@@ -582,12 +580,9 @@ def cmd_chaos(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    import json
-
     from .cluster import AutoscalePolicy, Cluster, ClusterConfig, HealthConfig
-    from .faults import (FLEET_PLAN_NAMES, PLAN_NAMES, named_fleet_plan,
-                         named_plan)
-    from .obs.slo import DEFAULT_RULES, SLOPolicy, load_rules
+    from .faults import named_fleet_plan, named_plan
+    from .obs.slo import SLOPolicy
     from .serve import generate_trace, trace_summary
 
     if args.quick:
@@ -604,8 +599,8 @@ def cmd_cluster(args) -> int:
 
     slo = None
     if args.slo:
-        rules = DEFAULT_RULES if args.slo == "-" else load_rules(args.slo)
-        slo = SLOPolicy(rules=rules, window_s=args.slo_window_ms / 1000.0)
+        slo = SLOPolicy(rules=_slo_rules(args.slo),
+                        window_s=args.slo_window_ms / 1000.0)
     autoscale = None
     if args.autoscale:
         if slo is None:
@@ -614,29 +609,16 @@ def cmd_cluster(args) -> int:
         autoscale = AutoscalePolicy(min_replicas=args.min_replicas,
                                     max_replicas=args.max_replicas,
                                     cooldown_s=args.cooldown_ms / 1000.0)
-    fault_plans = {}
-    default_plan = None
-    fleet_plan_name = args.fleet_plan
-    if args.fault_replica is not None and (
-            not args.fault_plan or args.fault_plan not in PLAN_NAMES):
+    if args.fault_replica is not None and not args.fault_plan:
         raise ValueError("--fault-replica needs a per-replica "
                          "--fault-plan")
     if args.kill_at is not None and args.kill_replica is None:
         raise ValueError("--kill-at needs a matching --kill-replica IDX")
-    if args.fault_plan:
-        if (args.fault_plan in FLEET_PLAN_NAMES
-                and args.fault_plan not in PLAN_NAMES):
-            # A fleet-level plan name (crash / flapping / domain-outage
-            # / fleet-chaos) given through --fault-plan: route it to the
-            # fleet fault plane instead of per-replica injectors.
-            if fleet_plan_name is None:
-                fleet_plan_name = args.fault_plan
-        else:
-            plan = named_plan(args.fault_plan, duration_s=spec.duration_s)
-            if args.fault_replica is not None:
-                fault_plans = {i: plan for i in args.fault_replica}
-            else:
-                default_plan = plan
+    plan = (named_plan(args.fault_plan, duration_s=spec.duration_s)
+            if args.fault_plan else None)
+    # --fault-replica narrows the plan from every replica to the listed.
+    fault_plans = {i: plan for i in args.fault_replica or ()}
+    default_plan = None if args.fault_replica else plan
     kills = []
     if args.kill_replica is not None:
         if (args.kill_at is None
@@ -645,11 +627,10 @@ def cmd_cluster(args) -> int:
                              "--kill-at SECONDS")
         kills = list(zip(args.kill_replica, args.kill_at))
 
-    fleet_plan = None
-    if fleet_plan_name:
-        fleet_plan = named_fleet_plan(fleet_plan_name,
-                                      duration_s=spec.duration_s,
-                                      replicas=args.replicas)
+    fleet_plan = (named_fleet_plan(args.fleet_plan,
+                                   duration_s=spec.duration_s,
+                                   replicas=args.replicas)
+                  if args.fleet_plan else None)
     health = None
     if args.health or fleet_plan is not None or args.hedge_after_ms:
         health = HealthConfig(
@@ -668,7 +649,7 @@ def cmd_cluster(args) -> int:
         telemetry=_telemetry_config(args))
     cluster = Cluster(config)
     if args.trace:
-        cluster.enable_tracing(sample=getattr(args, "trace_sample", 1))
+        cluster.enable_tracing(sample=args.trace_sample)
     report = cluster.run(trace)
 
     if args.trace:
@@ -702,10 +683,7 @@ def cmd_cluster(args) -> int:
 
     slo_ok = not report.slo_in_violation  # None (no SLO) is ok
     if args.json:
-        doc = {"traffic": {"arrivals": len(trace),
-                           "duration_s": spec.duration_s,
-                           "pattern": spec.pattern,
-                           "seed": spec.seed},
+        doc = {"traffic": _traffic_doc(trace, spec),
                "cluster": report.to_dict()}
         if args.metrics == "-":
             from .obs.export import cluster_metrics_doc
@@ -735,17 +713,12 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    import json
-
     from .devices import plan_capacity
-    from .obs.slo import DEFAULT_RULES, load_rules
 
-    rules = (DEFAULT_RULES if not args.slo or args.slo == "-"
-             else load_rules(args.slo))
     if args.quick:
         args.duration = 1.0
         args.rate = 800.0
-    plan = plan_capacity(args.fleet, rules,
+    plan = plan_capacity(args.fleet, _slo_rules(args.slo),
                          workload=args.workload,
                          duration_s=args.duration, rate_rps=args.rate,
                          pattern=args.pattern, policy=args.policy,
@@ -755,31 +728,6 @@ def cmd_plan(args) -> int:
     else:
         print(plan.render())
     return 0 if plan.best is not None else 1
-
-
-def cmd_trace(args) -> int:
-    from .faults import named_plan
-    from .serve import Server, generate_trace, trace_summary
-
-    spec = _traffic_spec(args)
-    trace = generate_trace(spec)
-    plan = (named_plan(args.fault_plan, duration_s=spec.duration_s)
-            if args.fault_plan else None)
-    server = Server(_server_config(args), fault_plan=plan,
-                    fault_seed=spec.seed)
-    tracer = server.enable_tracing(sample=getattr(args, "trace_sample", 1))
-    report = server.run(trace)
-    print(trace_summary(trace, spec))
-    if plan is not None:
-        print(f"\nfault plan: {plan.describe()}")
-    print()
-    print(report.render())
-    _write_trace(args.out, tracer, server.obs.registry,
-                 command="trace", seed=spec.seed,
-                 fault_plan=plan.name if plan else None)
-    print(f"trace: {tracer.span_count()} spans -> {args.out}")
-    _emit_metrics(args, server.obs.registry)
-    return 0
 
 
 def _host_hotspots(top: int) -> str:
@@ -818,8 +766,6 @@ def _host_hotspots(top: int) -> str:
 
 
 def cmd_analyze(args) -> int:
-    import json
-
     from .obs.analyze import analyze_run, load_jsonl
     from .obs.diff import diff_traces
 
@@ -850,8 +796,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_slo(args) -> int:
-    import json
-
     from .obs.export import load_metrics_snapshot
     from .obs.slo import DEFAULT_RULES, evaluate_slo, load_rules
 
@@ -869,8 +813,6 @@ def cmd_slo(args) -> int:
 
 
 def cmd_regression(args) -> int:
-    import json
-
     from .core.regression import (capture_headlines, compare, load_baseline,
                                   save_baseline)
 
@@ -929,39 +871,41 @@ def _add_obs_args(p) -> None:
 
 
 def _add_telemetry_args(p, fleet: bool = False) -> None:
-    extras = (", burn-rate alerts and flight recorders" if fleet else "")
-    p.add_argument("--telemetry", action="store_true",
-                   help=f"attach the live-telemetry plane (windowed "
-                        f"rollups{extras}); implied by the telemetry "
-                        f"output flags below; the report itself is "
-                        f"byte-identical either way")
+    """Telemetry outputs, each of which attaches the windowed rollups.
+    Only the fleet report carries a telemetry section, so only the fleet
+    gets a bare ``--telemetry`` switch."""
+    if fleet:
+        p.add_argument("--telemetry", action="store_true",
+                       help="attach the live-telemetry plane (windowed "
+                            "rollups, burn-rate alerts and flight "
+                            "recorders) and add its section to the "
+                            "report, which is otherwise byte-identical; "
+                            "implied by the telemetry output flags below")
     p.add_argument("--telemetry-window-ms", type=float, default=1000.0,
                    metavar="MS",
                    help="rollup window width (default 1000 ms)")
     p.add_argument("--window-log", metavar="PATH", default=None,
-                   help="write the JSONL window log (implies --telemetry)")
+                   help="write the JSONL window log")
     p.add_argument("--openmetrics", metavar="PATH", default=None,
-                   help="write an OpenMetrics-style text snapshot "
-                        "(implies --telemetry)")
+                   help="write an OpenMetrics-style text snapshot")
     p.add_argument("--dashboard", action="store_true",
                    help="render the terminal telemetry dashboard after "
-                        "the run (implies --telemetry)")
+                        "the run")
     if fleet:
         p.add_argument("--alert-log", metavar="PATH", default=None,
-                       help="write the JSONL burn-rate alert event "
-                            "stream (implies --telemetry)")
+                       help="write the JSONL burn-rate alert event stream")
         p.add_argument("--incident-dir", metavar="DIR", default=None,
                        help="dump flight-recorder incident bundles into "
-                            "DIR (implies --telemetry)")
+                            "DIR")
         p.add_argument("--no-alerts", action="store_true",
-                       help="with --telemetry, skip burn-rate alert "
-                            "evaluation")
+                       help="skip burn-rate alert evaluation")
 
 
 def _telemetry_config(args):
     """Resolve the telemetry flags into a TelemetryConfig (or None)."""
-    wants = (args.telemetry or args.window_log or args.openmetrics
-             or args.dashboard or getattr(args, "alert_log", None)
+    wants = (getattr(args, "telemetry", False) or args.window_log
+             or args.openmetrics or args.dashboard
+             or getattr(args, "alert_log", None)
              or getattr(args, "incident_dir", None))
     if not wants:
         return None
@@ -1009,6 +953,58 @@ def cmd_dashboard(args) -> int:
     return 0
 
 
+def _add_config_args(p) -> None:
+    """The ``b i f k s [c]`` positionals of a convolution layer."""
+    for field, hint in (("b", "mini-batch size"), ("i", "input size"),
+                        ("f", "filter count"), ("k", "kernel size"),
+                        ("s", "stride")):
+        p.add_argument(field, type=int, help=hint)
+    p.add_argument("c", type=int, nargs="?", default=3,
+                   help="input channels (default 3)")
+
+
+def _add_eval_args(p) -> None:
+    p.add_argument("--workers", type=int, default=None,
+                   help="parallel evaluation workers (default serial)")
+    p.add_argument("--no-cache", action="store_true",
+                   help="bypass the shared evaluation cache")
+
+
+def _add_traffic_args(p) -> None:
+    """The traffic a serving run generates (see :func:`_traffic_spec`);
+    a command changes the duration/rate defaults via ``set_defaults``."""
+    from .rng import DEFAULT_SEED
+
+    p.add_argument("--duration", type=float, default=10.0,
+                   help="simulated seconds of traffic (default %(default)g)")
+    p.add_argument("--rate", type=float, default=2000.0,
+                   help="mean offered load in req/s (default %(default)g)")
+    p.add_argument("--pattern", choices=("poisson", "bursty"),
+                   default="poisson", help="arrival process")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="trace seed (runs are deterministic per seed)")
+
+
+def _add_server_args(p) -> None:
+    """The per-server knobs (see :func:`_server_config`)."""
+    from .gpusim.device import DEVICES
+
+    p.add_argument("--max-batch", type=int, default=64,
+                   help="dynamic batcher size cap (default 64)")
+    p.add_argument("--max-wait-ms", type=float, default=2.0,
+                   help="batching latency guard (default 2 ms)")
+    p.add_argument("--no-bucket", action="store_true",
+                   help="disable power-of-two batch padding")
+    p.add_argument("--queue-depth", type=int, default=512,
+                   help="admission queue bound (default 512)")
+    p.add_argument("--timeout-ms", type=float, default=250.0,
+                   help="queueing timeout before shedding (default 250 ms)")
+    p.add_argument("--cache-capacity", type=int, default=128,
+                   help="plan cache entries (default 128)")
+    p.add_argument("--device", choices=sorted(DEVICES),
+                   default="Tesla K40c", help="modelled GPU")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1024,23 +1020,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, fn in (("advise", cmd_advise), ("compare", cmd_compare)):
         p = sub.add_parser(name)
-        p.add_argument("b", type=int, help="mini-batch size")
-        p.add_argument("i", type=int, help="input size")
-        p.add_argument("f", type=int, help="filter count")
-        p.add_argument("k", type=int, help="kernel size")
-        p.add_argument("s", type=int, help="stride")
-        p.add_argument("c", type=int, nargs="?", default=3,
-                       help="input channels (default 3)")
+        _add_config_args(p)
         if name == "advise":
             p.add_argument("--memory", type=int, default=None,
                            help="device memory budget in MB")
         if name == "compare":
             p.add_argument("--json", action="store_true",
                            help="machine-readable output")
-            p.add_argument("--workers", type=int, default=None,
-                           help="parallel evaluation workers (default serial)")
-            p.add_argument("--no-cache", action="store_true",
-                           help="bypass the shared evaluation cache")
+            _add_eval_args(p)
             _add_obs_args(p)
         p.set_defaults(fn=fn)
 
@@ -1050,10 +1037,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_export = sub.add_parser("export", help="write figure data as CSV")
     p_export.add_argument("dir", help="output directory")
-    p_export.add_argument("--workers", type=int, default=None,
-                          help="parallel evaluation workers (default serial)")
-    p_export.add_argument("--no-cache", action="store_true",
-                          help="bypass the shared evaluation cache")
+    _add_eval_args(p_export)
     p_export.set_defaults(fn=cmd_export)
 
     p_devices = sub.add_parser(
@@ -1067,12 +1051,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_audit = sub.add_parser(
         "audit", help="run the consistency audits on every implementation")
-    for field, hint in (("b", "mini-batch size"), ("i", "input size"),
-                        ("f", "filter count"), ("k", "kernel size"),
-                        ("s", "stride")):
-        p_audit.add_argument(field, type=int, help=hint)
-    p_audit.add_argument("c", type=int, nargs="?", default=3,
-                         help="input channels (default 3)")
+    _add_config_args(p_audit)
     p_audit.set_defaults(fn=cmd_audit)
 
     p_report = sub.add_parser(
@@ -1082,36 +1061,16 @@ def build_parser() -> argparse.ArgumentParser:
                           help="paper artifacts only")
     p_report.set_defaults(fn=cmd_report)
 
-    def add_traffic_args(p) -> None:
-        from .gpusim.device import DEVICES
-        from .rng import DEFAULT_SEED
-
-        p.add_argument("--duration", type=float, default=10.0,
-                       help="simulated seconds of traffic (default 10)")
-        p.add_argument("--rate", type=float, default=2000.0,
-                       help="mean offered load in req/s (default 2000)")
-        p.add_argument("--pattern", choices=("poisson", "bursty"),
-                       default="poisson", help="arrival process")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help="trace seed (runs are deterministic per seed)")
-        p.add_argument("--max-batch", type=int, default=64,
-                       help="dynamic batcher size cap (default 64)")
-        p.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="batching latency guard (default 2 ms)")
-        p.add_argument("--no-bucket", action="store_true",
-                       help="disable power-of-two batch padding")
-        p.add_argument("--queue-depth", type=int, default=512,
-                       help="admission queue bound (default 512)")
-        p.add_argument("--timeout-ms", type=float, default=250.0,
-                       help="queueing timeout before shedding (default 250 ms)")
-        p.add_argument("--cache-capacity", type=int, default=128,
-                       help="plan cache entries (default 128)")
-        p.add_argument("--device", choices=sorted(DEVICES),
-                       default="Tesla K40c", help="modelled GPU")
+    from .cluster import POLICIES
+    from .faults import FLEET_PLAN_NAMES, PLAN_NAMES
 
     p_serve = sub.add_parser(
         "serve", help="run simulated inference traffic end-to-end")
-    add_traffic_args(p_serve)
+    _add_traffic_args(p_serve)
+    _add_server_args(p_serve)
+    p_serve.add_argument("--fault-plan", choices=PLAN_NAMES, default=None,
+                         help="inject a named fault plan into the run "
+                              "(injector seeded with the trace seed)")
     p_serve.add_argument("--json", action="store_true",
                          help="machine-readable stats output")
     p_serve.add_argument("--slo", metavar="RULES", nargs="?", const="-",
@@ -1124,19 +1083,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_telemetry_args(p_serve)
     p_serve.set_defaults(fn=cmd_serve)
 
-    from .faults import PLAN_NAMES
-
     p_chaos = sub.add_parser(
         "chaos", help="run traffic under a named fault plan and report "
                       "the resilience stats")
-    add_traffic_args(p_chaos)
+    _add_traffic_args(p_chaos)
+    _add_server_args(p_chaos)
     p_chaos.add_argument("--fault-plan", choices=PLAN_NAMES, default="chaos",
                          help="named fault plan (default 'chaos')")
     p_chaos.add_argument("--fault-seed", type=int, default=None,
                          help="injector seed (default: the trace seed)")
-    from .cluster import POLICIES
-    from .faults import FLEET_PLAN_NAMES
-
     p_chaos.add_argument("--cluster", action="store_true",
                          help="fleet chaos: inject --fleet-plan into a "
                               "replicated fleet with the self-healing "
@@ -1164,7 +1119,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster = sub.add_parser(
         "cluster", help="serve traffic across a replicated fleet with "
                         "pluggable routing and SLO-driven autoscaling")
-    add_traffic_args(p_cluster)
+    _add_traffic_args(p_cluster)
+    _add_server_args(p_cluster)
     p_cluster.add_argument("--replicas", type=int, default=4,
                            help="initial fleet size (default 4)")
     p_cluster.add_argument("--fleet", metavar="SPEC", default=None,
@@ -1199,14 +1155,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--cooldown-ms", type=float, default=200.0,
                            help="min time between scaling actions "
                                 "(default 200 ms)")
-    p_cluster.add_argument("--fault-plan",
-                           choices=sorted(set(PLAN_NAMES)
-                                          | set(FLEET_PLAN_NAMES)),
-                           default=None,
-                           help="inject a named fault plan; fleet-level "
-                                "names (crash, flapping, domain-outage, "
-                                "fleet-chaos) route to the fleet fault "
-                                "plane and imply --health")
+    p_cluster.add_argument("--fault-plan", choices=PLAN_NAMES, default=None,
+                           help="inject a named per-replica fault plan "
+                                "(fleet-level chaos goes through "
+                                "--fleet-plan)")
     p_cluster.add_argument("--fault-replica", type=int, action="append",
                            default=None, metavar="IDX",
                            help="restrict --fault-plan to this replica "
@@ -1256,7 +1208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dash.set_defaults(fn=cmd_dashboard)
 
     from .devices.plan import WORKLOADS
-    from .rng import DEFAULT_SEED as _PLAN_SEED
 
     p_plan = sub.add_parser(
         "plan", help="capacity-plan a heterogeneous fleet: sweep every "
@@ -1274,15 +1225,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="SLO rules from a JSON file, or the default "
                              "rule set when RULES is omitted; exits "
                              "non-zero when no mix passes")
-    p_plan.add_argument("--duration", type=float, default=5.0,
-                        help="simulated seconds of traffic (default 5)")
-    p_plan.add_argument("--rate", type=float, default=500.0,
-                        help="mean offered load in req/s (default 500)")
-    p_plan.add_argument("--pattern", choices=("poisson", "bursty"),
-                        default="poisson", help="arrival process")
-    p_plan.add_argument("--seed", type=int, default=_PLAN_SEED,
-                        help="trace seed (sweeps are deterministic "
-                             "per seed)")
+    _add_traffic_args(p_plan)
     p_plan.add_argument("--policy", choices=POLICIES,
                         default="device-affinity",
                         help="routing policy every mix is simulated "
@@ -1291,28 +1234,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="machine-readable ranked output")
     p_plan.add_argument("--quick", action="store_true",
                         help="1-second smoke sweep (CI gate)")
-    p_plan.set_defaults(fn=cmd_plan)
-
-    p_trace = sub.add_parser(
-        "trace", help="run one traced serving run and export the span "
-                      "timeline")
-    add_traffic_args(p_trace)
-    p_trace.add_argument("--out", default="serving_trace.json",
-                         help="trace output path (default "
-                              "serving_trace.json; a .jsonl extension "
-                              "selects the JSONL event log)")
-    p_trace.add_argument("--fault-plan", choices=PLAN_NAMES, default=None,
-                         help="inject a named fault plan into the traced run")
-    p_trace.add_argument("--metrics", metavar="PATH", nargs="?", const="-",
-                         default=None,
-                         help="also emit the metrics snapshot (to PATH, or "
-                              "printed when PATH is omitted)")
-    p_trace.add_argument("--trace-sample", type=int, default=1, metavar="N",
-                         help="keep only 1 in N serve.batch span trees "
-                              "(deterministic; the report stays exact)")
-    # A traced second of traffic is plenty to read; heavier runs are
-    # one --duration/--rate away.
-    p_trace.set_defaults(fn=cmd_trace, duration=1.0, rate=1000.0)
+    p_plan.set_defaults(fn=cmd_plan, duration=5.0, rate=500.0)
 
     p_analyze = sub.add_parser(
         "analyze", help="offline trace analytics: critical path, hotspot "
@@ -1320,7 +1242,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "attribution between two runs")
     p_analyze.add_argument("trace", nargs="?", default=None,
                            help="JSONL event log to analyze "
-                                "(see 'trace --out run.jsonl')")
+                                "(see 'serve --trace run.jsonl')")
     p_analyze.add_argument("--hotspots-host", action="store_true",
                            help="profile the simulator itself: cProfile a "
                                 "reference serving run on this host and "
@@ -1368,7 +1290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_loadgen = sub.add_parser(
         "loadgen", help="generate a trace; compare dynamic batching "
                         "vs forced batch=1 on it")
-    add_traffic_args(p_loadgen)
+    _add_traffic_args(p_loadgen)
+    _add_server_args(p_loadgen)
     # loadgen's point is the batched-vs-unbatched contrast, which needs
     # an offered load past the batch=1 saturation point (~4k req/s on
     # the K40c model).

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..core.advisor import Advisor
 from ..faults import FaultPlan, FleetFaultPlan, StragglerSpec
@@ -99,12 +99,9 @@ class ClusterConfig:
     #: replacement inherits its slot's plan.
     fault_plans: Dict[int, FaultPlan] = field(default_factory=dict)
     default_fault_plan: Optional[FaultPlan] = None
-    #: Chaos: scheduled replica kills, as either a list of
-    #: ``(slot, time_s)`` pairs — a slot may die more than once when
-    #: the supervisor restarts it — or the legacy ``{slot: time_s}``
-    #: dict (which can only express one death per slot).
-    kills: Union[Dict[int, float],
-                 Sequence[Tuple[int, float]]] = field(default_factory=dict)
+    #: Chaos: scheduled replica kills as ``(slot, time_s)`` pairs — a
+    #: slot may die more than once when the supervisor restarts it.
+    kills: Sequence[Tuple[int, float]] = ()
     #: Self-healing plane (detector, supervisor, hedging, retry
     #: budgets); ``None`` keeps the fleet byte-identical to the
     #: pre-health cluster.
@@ -121,13 +118,8 @@ class ClusterConfig:
     telemetry: Optional[TelemetryConfig] = None
 
     def kill_schedule(self) -> List[Tuple[int, float]]:
-        """The kill list normalised to ``(slot, time_s)`` pairs in
-        execution order (time, then slot), whichever form ``kills``
-        took."""
-        if isinstance(self.kills, dict):
-            pairs = [(int(i), float(t)) for i, t in self.kills.items()]
-        else:
-            pairs = [(int(i), float(t)) for i, t in self.kills]
+        """The kills in execution order (time, then slot)."""
+        pairs = [(int(i), float(t)) for i, t in self.kills]
         return sorted(pairs, key=lambda kv: (kv[1], kv[0]))
 
     def __post_init__(self) -> None:

@@ -239,14 +239,7 @@ class Replica:
         Queued requests are handed back for re-routing exactly as in
         :meth:`start_drain`; the report is frozen immediately.
         """
-        evacuated = self.server.queue.drain(for_requeue=True)
-        if evacuated:
-            self.server.stats.record_shed("requeued", len(evacuated))
-        self.tracer.event("replica.killed", replica=self.index,
-                          requeued=len(evacuated))
-        self.alive = False
-        self.retire(max(now_s, self.server.clock.now_s), outcome="killed")
-        return evacuated
+        return self._die(now_s, "replica.killed", "killed")
 
     def evict(self, now_s: float, outcome: str = "crashed") -> List[Request]:
         """Supervisor eviction: the health plane gave up on this
@@ -259,11 +252,15 @@ class Replica:
         long after the actual death: everything queued in the
         meantime is only now evacuated for (budgeted) re-routing.
         """
+        return self._die(now_s, "replica.evicted", outcome)
+
+    def _die(self, now_s: float, event: str, outcome: str) -> List[Request]:
+        """Evacuate the queue (recorded as ``requeued`` sheds), emit
+        ``event``, mark the replica dead and freeze its report."""
         evacuated = self.server.queue.drain(for_requeue=True)
         if evacuated:
             self.server.stats.record_shed("requeued", len(evacuated))
-        self.tracer.event("replica.evicted", replica=self.index,
-                          requeued=len(evacuated))
+        self.tracer.event(event, replica=self.index, requeued=len(evacuated))
         self.alive = False
         self.retire(max(now_s, self.server.clock.now_s), outcome=outcome)
         return evacuated

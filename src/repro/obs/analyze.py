@@ -228,7 +228,7 @@ def parse_jsonl(lines: Sequence[str], source: str = "<memory>") -> TraceRun:
 
 
 def load_jsonl(path: str) -> TraceRun:
-    """Load a saved JSONL event log (``repro trace --out x.jsonl``)."""
+    """Load a saved JSONL event log (``repro serve --trace x.jsonl``)."""
     with open(path) as fh:
         return parse_jsonl(fh.readlines(), source=path)
 

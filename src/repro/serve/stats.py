@@ -14,10 +14,6 @@ dicts are labeled counter series, and latencies feed
 ``serve_latency_seconds`` histograms — so a ``--metrics`` snapshot and
 a :class:`StatsReport` are two renderings of the same store.  The
 attribute API (``stats.retries += 1`` and friends) is unchanged.
-
-:func:`percentile` lives in :mod:`repro.obs.hist` now (one shared
-implementation for serve, obs and the benchmarks) and is re-exported
-here for backward compatibility.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..obs.hist import percentile  # noqa: F401  (re-export, see docstring)
+from ..obs.hist import percentile
 from ..obs.metrics import MetricsRegistry
 from .request import Completion, fast_completion
 

@@ -26,12 +26,6 @@ class TestPercentile:
         with pytest.raises(ValueError):
             percentile([1.0], -0.1)
 
-    def test_reexported_from_serve_stats(self):
-        """Backward compatibility: the historical import site still
-        serves the same function object."""
-        from repro.serve.stats import percentile as serve_percentile
-        assert serve_percentile is percentile
-
 
 class TestSummarize:
     def test_empty_is_all_zeros(self):

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.serve.request import Request
-from repro.serve.stats import ServingStats, percentile
+from repro.obs.hist import percentile
+from repro.serve.stats import ServingStats
 
 KEY = (27, 256, 5, 1, 96, 2)
 

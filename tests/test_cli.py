@@ -34,6 +34,24 @@ class TestParser:
         args = build_parser().parse_args(["loadgen"])
         assert args.rate == 6000.0
 
+    def test_plan_keeps_its_traffic_defaults(self):
+        args = build_parser().parse_args(["plan", "--fleet", "k40c:1"])
+        assert (args.duration, args.rate) == (5.0, 500.0)
+        assert args.seed == build_parser().parse_args(["serve"]).seed
+
+    def test_trace_subcommand_is_gone(self, capsys):
+        """One spelling per run: a traced run is ``serve --trace``."""
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "--out", "run.jsonl"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'trace'" in capsys.readouterr().err
+
+    def test_bare_telemetry_switch_is_fleet_only(self):
+        # serve's report never carries telemetry; its outputs attach it.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--telemetry"])
+        assert build_parser().parse_args(["cluster", "--telemetry"]).telemetry
+
     def test_no_subcommand_prints_usage_and_fails(self, capsys):
         assert main([]) == 2
         err = capsys.readouterr().err
@@ -183,10 +201,9 @@ class TestObservabilityFlags:
     SERVE_ARGS = ["--duration", "0.2", "--rate", "500", "--seed", "7"]
 
     def test_trace_defaults(self):
-        args = build_parser().parse_args(["trace"])
-        assert args.duration == 1.0
-        assert args.rate == 1000.0
-        assert args.out == "serving_trace.json"
+        args = build_parser().parse_args(["serve", "--trace", "t.json"])
+        assert args.trace == "t.json"
+        assert args.trace_sample == 1
         assert args.fault_plan is None
 
     def test_serve_obs_flags_default_off(self):
@@ -233,12 +250,35 @@ class TestObservabilityFlags:
 
     def test_trace_command_end_to_end(self, tmp_path, capsys):
         out_path = tmp_path / "trace.json"
-        assert main(["trace", "--duration", "0.2", "--rate", "500",
-                     "--seed", "7", "--out", str(out_path)]) == 0
-        assert "spans ->" in capsys.readouterr().out
+        assert main(["serve"] + self.SERVE_ARGS
+                    + ["--trace", str(out_path)]) == 0
+        assert "-span trace to" in capsys.readouterr().err
         doc = json.loads(out_path.read_text())
         cats = {e.get("cat") for e in doc["traceEvents"]}
         assert "serve" in cats and "gpu" in cats
+        # A plain run stamps no fault plan into the trace metadata.
+        assert "fault_plan" not in doc["otherData"]
+
+    def test_serve_fault_plan_trace_is_deterministic(self, tmp_path,
+                                                     capsys):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        for path in (a, b):
+            assert main(["serve"] + self.SERVE_ARGS
+                        + ["--fault-plan", "chaos",
+                           "--trace", str(path)]) == 0
+        assert "fault plan: " in capsys.readouterr().out
+        assert a.read_bytes() == b.read_bytes()
+        events = [json.loads(line) for line in a.read_text().splitlines()]
+        assert any(d["type"] == "event" and d["name"] == "fault.transient"
+                   for d in events)
+
+    def test_serve_fault_plan_stamps_chrome_trace(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        assert main(["serve"] + self.SERVE_ARGS
+                    + ["--fault-plan", "chaos", "--trace", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        assert doc["otherData"]["fault_plan"] == "chaos"
+        assert doc["otherData"]["command"] == "serve"
 
     def test_chaos_trace_carries_fault_events(self, tmp_path, capsys):
         path = tmp_path / "chaos.json"
@@ -357,12 +397,12 @@ class TestChaosClusterMode:
 
 
 class TestAnalyzeCommand:
-    TRACE_ARGS = ["trace", "--duration", "0.2", "--rate", "500",
+    TRACE_ARGS = ["serve", "--duration", "0.2", "--rate", "500",
                   "--seed", "7"]
 
     def write_trace(self, path, extra=()):
         assert main(self.TRACE_ARGS + list(extra)
-                    + ["--out", str(path)]) == 0
+                    + ["--trace", str(path)]) == 0
 
     def test_parser_defaults(self):
         args = build_parser().parse_args(["analyze", "run.jsonl"])
@@ -404,11 +444,11 @@ class TestAnalyzeCommand:
 
     def test_chaos_baseline_attributes_faults(self, tmp_path, capsys):
         quiet, chaos = tmp_path / "q.jsonl", tmp_path / "c.jsonl"
-        args = ["trace", "--duration", "1.0", "--rate", "1500",
+        args = ["serve", "--duration", "1.0", "--rate", "1500",
                 "--seed", "7"]
-        assert main(args + ["--out", str(quiet)]) == 0
+        assert main(args + ["--trace", str(quiet)]) == 0
         assert main(args + ["--fault-plan", "chaos",
-                            "--out", str(chaos)]) == 0
+                            "--trace", str(chaos)]) == 0
         capsys.readouterr()
         assert main(["analyze", str(chaos), "--baseline", str(quiet),
                      "--json"]) == 0
@@ -648,14 +688,22 @@ class TestClusterCommand:
         assert main(["cluster", "--quick", "--kill-at", "0.5"]) == 1
         assert "--kill-replica" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("plan", [[], ["--fault-plan", "crash"]])
+    @pytest.mark.parametrize("plan", [[], ["--fleet-plan", "crash"]])
     def test_fault_replica_without_replica_plan_fails(self, plan, capsys):
-        # No --fault-plan at all, or a fleet-level one (which never
+        # No --fault-plan at all, or only a fleet plan (which never
         # reaches per-replica injectors): nothing for the index to
         # restrict.
         assert main(["cluster", "--quick", "--fault-replica", "0"]
                     + plan) == 1
         assert "--fault-replica" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["crash", "domain-outage"])
+    def test_fault_plan_rejects_fleet_plan_names(self, name, capsys):
+        """Fleet-level plans have one spelling: --fleet-plan."""
+        with pytest.raises(SystemExit) as exc:
+            main(["cluster", "--quick", "--fault-plan", name])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_kill_is_reported(self, capsys):
         assert main(self.ARGS + ["--kill-replica", "1",
