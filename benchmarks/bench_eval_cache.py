@@ -6,14 +6,14 @@ evaluation points — in three regimes:
 * **baseline** — the seed behavior: memoization off, evaluation cache
   bypassed, strictly serial; every point re-derives the full kernel
   plan → occupancy → roofline → metrics chain;
-* **cold** — fresh caches, 4 workers: the shared
+* **cold** — fresh caches: the shared
   :class:`~repro.core.evalcache.EvalCache` dedupes repeated points and
   the memoized model layers share sub-results;
 * **warm** — an immediate rerun against the populated cache.
 
-It also times the JSON disk round-trip (save, then a warm-start load
-into a fresh cache) and verifies the rendered figures are
-byte-identical across all regimes — caching must never change output.
+All three regimes run serially, and the benchmark verifies the rendered
+figures are byte-identical across them — caching must never change
+output.
 
 Run as a script (``python benchmarks/bench_eval_cache.py [--quick]``)
 it writes ``benchmarks/results/BENCH_eval_cache.json`` and exits
@@ -47,7 +47,7 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
-def run_benchmark(repeats: int = 5, workers: int = 4) -> dict:
+def run_benchmark(repeats: int = 5) -> dict:
     """Measure all regimes; returns the artifact payload."""
     from repro.core import evalcache
     from repro.core.runtime_comparison import all_runtime_sweeps
@@ -61,7 +61,7 @@ def run_benchmark(repeats: int = 5, workers: int = 4) -> dict:
         return "\n".join(sweeps[name].render() for name in sorted(sweeps))
 
     # Baseline replicates the seed: no memo layer, no shared cache, no
-    # dedup, serial — each of the 546 points re-runs the whole model.
+    # dedup — each of the 546 points re-runs the whole model.
     memo.set_enabled(False)
     fresh()
     baseline_render = render(all_runtime_sweeps(cache=evalcache.DISABLED))
@@ -71,52 +71,28 @@ def run_benchmark(repeats: int = 5, workers: int = 4) -> dict:
     memo.set_enabled(True)
 
     fresh()
-    cold_render = render(all_runtime_sweeps(workers=workers))
-    cold_s = _best_of(
-        lambda: (fresh(), all_runtime_sweeps(workers=workers)), repeats)
+    cold_render = render(all_runtime_sweeps())
+    cold_s = _best_of(lambda: (fresh(), all_runtime_sweeps()), repeats)
 
     # Leave the last cold run's caches in place: the warm regime.
     fresh()
-    all_runtime_sweeps(workers=workers)
-    warm_render = render(all_runtime_sweeps(workers=workers))
-    warm_s = _best_of(lambda: all_runtime_sweeps(workers=workers), repeats)
+    all_runtime_sweeps()
+    warm_render = render(all_runtime_sweeps())
+    warm_s = _best_of(all_runtime_sweeps, repeats)
 
-    # Disk round-trip: persist the populated store, warm-start a fresh
-    # cache from it, and rerun against the loaded records.
-    store = evalcache.get_cache()
-    store_path = RESULTS_DIR / "eval_cache_store.json"
-    t0 = time.perf_counter()
-    store.save(str(store_path))
-    save_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    loaded = evalcache.EvalCache(path=str(store_path))
-    load_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    disk_render = render(all_runtime_sweeps(workers=workers, cache=loaded))
-    disk_warm_s = time.perf_counter() - t0
-
-    identical = (baseline_render == cold_render == warm_render
-                 == disk_render)
+    identical = baseline_render == cold_render == warm_render
     return {
         "benchmark": "eval_cache",
         "workload": "all_runtime_sweeps",
         "points": 546,
-        "workers": workers,
         "repeats": repeats,
         "baseline_s": baseline_s,
         "cold_s": cold_s,
         "warm_s": warm_s,
         "cold_speedup": baseline_s / cold_s,
         "warm_speedup_vs_cold": cold_s / warm_s,
-        "disk": {
-            "path": str(store_path),
-            "entries": len(loaded),
-            "save_s": save_s,
-            "load_s": load_s,
-            "warm_from_disk_s": disk_warm_s,
-        },
         "figures_identical": identical,
-        "cache_stats": store.stats(),
+        "cache_stats": evalcache.get_cache().stats(),
         "gate_warm_cold": WARM_COLD_GATE,
     }
 
@@ -136,7 +112,7 @@ def check_gates(payload: dict) -> list:
 def _render_text(payload: dict) -> str:
     lines = [
         "eval-cache speedup on all_runtime_sweeps "
-        f"({payload['points']} points, {payload['workers']} workers)",
+        f"({payload['points']} points)",
         f"  baseline (seed: no memo, no cache, serial)  "
         f"{payload['baseline_s'] * 1000:8.1f} ms",
         f"  cold (fresh caches)                         "
@@ -145,9 +121,6 @@ def _render_text(payload: dict) -> str:
         f"  warm (populated cache)                      "
         f"{payload['warm_s'] * 1000:8.1f} ms   "
         f"x{payload['warm_speedup_vs_cold']:.2f} vs cold",
-        f"  warm from disk store                        "
-        f"{payload['disk']['warm_from_disk_s'] * 1000:8.1f} ms   "
-        f"({payload['disk']['entries']} records)",
         f"  figures byte-identical across regimes: "
         f"{payload['figures_identical']}",
     ]
@@ -165,11 +138,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
                         help="2 timing repeats instead of 5")
-    parser.add_argument("--workers", type=int, default=4)
     args = parser.parse_args(argv)
 
-    payload = run_benchmark(repeats=2 if args.quick else 5,
-                            workers=args.workers)
+    payload = run_benchmark(repeats=2 if args.quick else 5)
     print(_render_text(payload))
 
     RESULTS_DIR.mkdir(exist_ok=True)

@@ -144,12 +144,10 @@ def cmd_compare(args) -> int:
     import time
 
     from .core import evalcache
-    from .core.parallel import make_executor
     from .gpusim.device import K40C
     from .obs.context import NULL_OBS, Observability, obs_session
 
     config = _config_from_args(args)
-    cache = evalcache.DISABLED if args.no_cache else None
     obs = NULL_OBS
     if args.trace or args.metrics:
         from .gpusim.timing import SimClock
@@ -159,15 +157,13 @@ def cmd_compare(args) -> int:
     t0 = time.perf_counter()
     impls = all_implementations()
     with obs_session(obs):
-        grid = make_executor(args.workers).map_grid(impls, [config], K40C,
-                                                    cache=cache)
+        records = [evalcache.evaluate(impl, config, K40C) for impl in impls]
     elapsed = time.perf_counter() - t0
     if args.trace:
         _write_trace(args.trace, obs.tracer, obs.registry,
                      command="compare", config=str(config))
     rows = []
-    for impl in impls:
-        record = grid[impl.name][0]
+    for impl, record in zip(impls, records):
         if not record.supported:
             rows.append([impl.paper_name, "-", "-"])
             continue
@@ -175,18 +171,16 @@ def cmd_compare(args) -> int:
                else f"{record.peak_memory_bytes / 2**20:.0f}")
         rows.append([impl.paper_name, f"{record.time_s * 1000:.2f}", mem])
     if args.json:
-        records = [
+        results = [
             {"implementation": name,
              "time_ms": None if t == "-" else float(t),
              "memory_mb": None if m == "-" else float(m)}
             for name, t, m in rows
         ]
-        store = evalcache.resolve_cache(cache)
         doc = {"config": str(config),
-               "results": records,
+               "results": results,
                "elapsed_s": elapsed,
-               "workers": args.workers or 1,
-               "cache": None if store is None else store.stats()}
+               "cache": evalcache.get_cache().stats()}
         _emit_metrics(args, obs.registry, embed=doc)
         print(json.dumps(doc, indent=2))
         return 0
@@ -215,20 +209,15 @@ def cmd_export(args) -> int:
     from .core.runtime_comparison import runtime_sweep
     from .core.transfer_overhead import transfer_overhead_profile
 
-    from .core import evalcache
-
-    cache = evalcache.DISABLED if args.no_cache else None
     os.makedirs(args.dir, exist_ok=True)
     for sweep in SWEEPS:
-        runtime_sweep_csv(runtime_sweep(sweep, workers=args.workers,
-                                        cache=cache),
+        runtime_sweep_csv(runtime_sweep(sweep),
                           os.path.join(args.dir, f"fig3_{sweep}.csv"))
-        memory_sweep_csv(memory_sweep(sweep, workers=args.workers,
-                                      cache=cache),
+        memory_sweep_csv(memory_sweep(sweep),
                          os.path.join(args.dir, f"fig5_{sweep}.csv"))
     breakdown_csv(hotspot_layer_analysis(),
                   os.path.join(args.dir, "fig2_breakdown.csv"))
-    metrics_csv(gpu_metric_profile(workers=args.workers, cache=cache),
+    metrics_csv(gpu_metric_profile(),
                 os.path.join(args.dir, "fig6_metrics.csv"))
     transfer_csv(transfer_overhead_profile(),
                  os.path.join(args.dir, "fig7_transfers.csv"))
@@ -520,6 +509,11 @@ def cmd_chaos(args) -> int:
     from .serve import Server, generate_trace, trace_summary
 
     if getattr(args, "cluster", False):
+        if args.trace or args.metrics or args.trace_sample != 1:
+            raise ValueError(
+                "chaos --cluster records no trace or metrics; for a traced "
+                "fleet-chaos run use: repro cluster --fleet-plan PLAN "
+                "--trace PATH")
         return _cmd_chaos_cluster(args)
     if args.quick:
         args.duration = 1.0
@@ -963,13 +957,6 @@ def _add_config_args(p) -> None:
                    help="input channels (default 3)")
 
 
-def _add_eval_args(p) -> None:
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel evaluation workers (default serial)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="bypass the shared evaluation cache")
-
-
 def _add_traffic_args(p) -> None:
     """The traffic a serving run generates (see :func:`_traffic_spec`);
     a command changes the duration/rate defaults via ``set_defaults``."""
@@ -1027,7 +1014,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "compare":
             p.add_argument("--json", action="store_true",
                            help="machine-readable output")
-            _add_eval_args(p)
             _add_obs_args(p)
         p.set_defaults(fn=fn)
 
@@ -1037,7 +1023,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_export = sub.add_parser("export", help="write figure data as CSV")
     p_export.add_argument("dir", help="output directory")
-    _add_eval_args(p_export)
     p_export.set_defaults(fn=cmd_export)
 
     p_devices = sub.add_parser(

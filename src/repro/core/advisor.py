@@ -27,7 +27,7 @@ from ..frameworks.base import ConvImplementation
 from ..frameworks.registry import all_implementations
 from ..gpusim.device import DeviceSpec, K40C
 from ..obs.context import get_obs
-from .evalcache import CacheArg, evaluate
+from .evalcache import evaluate
 
 
 @dataclass(frozen=True)
@@ -93,17 +93,14 @@ class Advisor:
     cache (:mod:`repro.core.evalcache`) — the advisor, the serving
     scheduler and the figure pipelines all draw on the same records,
     so a scenario the sweeps already visited ranks without re-running
-    the model.  Pass ``cache=evalcache.DISABLED`` to force recompute,
-    or a private :class:`~repro.core.evalcache.EvalCache` to isolate.
+    the model.
     """
 
     def __init__(self, device: DeviceSpec = K40C,
-                 implementations: Optional[Sequence[ConvImplementation]] = None,
-                 cache: CacheArg = None):
+                 implementations: Optional[Sequence[ConvImplementation]] = None):
         self.device = device
         self.implementations = (list(implementations) if implementations
                                 else all_implementations())
-        self.cache = cache
 
     def evaluate(self, config: ConvConfig,
                  memory_budget: Optional[int] = None,
@@ -123,7 +120,7 @@ class Advisor:
                 "advisor.rank", cat="advisor", device=target.name,
                 implementations=len(self.implementations)) as sp:
             for impl in self.implementations:
-                record = evaluate(impl, config, target, cache=self.cache)
+                record = evaluate(impl, config, target)
                 if not record.supported:
                     out.append(Candidate(impl.paper_name, float("inf"), 0,
                                          supported=False, fits_memory=False))

@@ -12,27 +12,21 @@ identical points many times over.
 :func:`evaluate` is the single entry point.  It returns an
 :class:`EvalRecord` — the complete analytic evaluation, content-
 addressed by :func:`cache_key` over the implementation name, every
-:class:`~repro.config.ConvConfig` field and the device name — from the
-process-wide :class:`EvalCache` (hit) or by running the model once
-(miss).  Records are plain frozen values: JSON-serializable for the
-optional on-disk store under ``benchmarks/results/``, picklable for
-the :mod:`repro.core.parallel` process pool, and rich enough to answer
-every downstream question (runtime, peak memory/OOM, per-kernel
+:class:`~repro.config.ConvConfig` field and the device identity — from
+the process-wide in-memory :class:`EvalCache` (hit) or by running the
+model once (miss).  Records are plain frozen values, rich enough to
+answer every downstream question (runtime, peak memory/OOM, per-kernel
 timings, runtime-weighted Fig. 6 metric summaries) without touching
 the model again.
 
 Thread safety: the cache takes a lock around its dictionary, and the
 underlying model layers are either pure or memoized with thread-safe
-``lru_cache``, so :class:`repro.core.parallel.SweepExecutor` workers
-may evaluate concurrently.
+``lru_cache``, so threads may evaluate concurrently.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
@@ -41,60 +35,13 @@ from ..errors import DeviceOOMError
 from ..frameworks.base import ConvImplementation
 from ..gpusim.device import DEVICES, DeviceSpec, K40C, spec_digest
 from ..gpusim.metrics import MetricSummary, weighted_summary
+from ..gpusim.timing import KernelTiming
 from ..obs.context import get_obs
-
-#: Bump when the analytic model or the record layout changes in a way
-#: that invalidates stored records; keys embed it, so stale disk
-#: stores miss instead of serving wrong data.  v2: keys carry the
-#: device-spec digest, not just the display name.
-EVALCACHE_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
 # records
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class KernelRecord:
-    """One kernel launch of an evaluation: name, role and the timing /
-    metric row the profiler derived.
-
-    Freshly computed records carry the profiler's own
-    :class:`~repro.gpusim.timing.KernelTiming` rows (no copying on the
-    hot path); records loaded from a JSON store carry these instead.
-    Metric field names match ``KernelTiming`` so
-    :func:`~repro.gpusim.metrics.weighted_summary` aggregates either
-    type interchangeably."""
-
-    name: str
-    role: str
-    time_s: float
-    achieved_occupancy: float
-    ipc: float
-    warp_execution_efficiency: float
-    gld_efficiency: float
-    gst_efficiency: float
-    shared_efficiency: float
-    shared_load_bank_conflicts: int
-    shared_store_bank_conflicts: int
-
-
-_KERNEL_ROW_FIELDS = ("time_s", "achieved_occupancy", "ipc",
-                      "warp_execution_efficiency", "gld_efficiency",
-                      "gst_efficiency", "shared_efficiency",
-                      "shared_load_bank_conflicts",
-                      "shared_store_bank_conflicts")
-
-
-def _kernel_row(kernel) -> dict:
-    """JSON row for one kernel (KernelTiming or KernelRecord)."""
-    row = {f: getattr(kernel, f) for f in _KERNEL_ROW_FIELDS}
-    if isinstance(kernel, KernelRecord):
-        row["name"], row["role"] = kernel.name, kernel.role
-    else:
-        row["name"], row["role"] = kernel.spec.name, kernel.spec.role.value
-    return row
-
 
 @dataclass(frozen=True)
 class EvalRecord:
@@ -116,11 +63,9 @@ class EvalRecord:
     oom: bool
     #: requested + in-use bytes at the OOM, when ``oom`` is True.
     oom_bytes: Optional[int]
-    #: Per-kernel rows: ``KernelTiming`` when computed in-process (the
-    #: profiler's own objects, shared not copied), ``KernelRecord``
-    #: when loaded from a JSON store.  Both shapes feed
-    #: :func:`~repro.gpusim.metrics.weighted_summary`.
-    kernels: Tuple[object, ...]
+    #: Per-kernel rows: the profiler's own ``KernelTiming`` objects,
+    #: shared not copied.
+    kernels: Tuple[KernelTiming, ...]
 
     def summary(self, top_n: Optional[int] = None) -> MetricSummary:
         """Runtime-weighted Fig. 6 metric estimate, recomputed from the
@@ -129,52 +74,6 @@ class EvalRecord:
             raise ValueError(
                 f"no kernel records for {self.implementation} (unsupported?)")
         return weighted_summary(self.kernels, top_n=top_n)
-
-    # -- JSON (disk store) -------------------------------------------------
-
-    def to_dict(self) -> dict:
-        d = {
-            "implementation": self.implementation,
-            "paper_name": self.paper_name,
-            "config": {
-                "batch": self.config.batch,
-                "input_size": self.config.input_size,
-                "filters": self.config.filters,
-                "kernel_size": self.config.kernel_size,
-                "stride": self.config.stride,
-                "channels": self.config.channels,
-                "padding": self.config.padding,
-            },
-            "device": self.device,
-            "supported": self.supported,
-            "time_s": self.time_s,
-            "gpu_time_s": self.gpu_time_s,
-            "transfer_time_s": self.transfer_time_s,
-            "exposed_transfer_s": self.exposed_transfer_s,
-            "peak_memory_bytes": self.peak_memory_bytes,
-            "oom": self.oom,
-            "oom_bytes": self.oom_bytes,
-            "kernels": [_kernel_row(k) for k in self.kernels],
-        }
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalRecord":
-        return cls(
-            implementation=d["implementation"],
-            paper_name=d["paper_name"],
-            config=ConvConfig(**d["config"]),
-            device=d["device"],
-            supported=d["supported"],
-            time_s=d["time_s"],
-            gpu_time_s=d["gpu_time_s"],
-            transfer_time_s=d["transfer_time_s"],
-            exposed_transfer_s=d["exposed_transfer_s"],
-            peak_memory_bytes=d["peak_memory_bytes"],
-            oom=d["oom"],
-            oom_bytes=d["oom_bytes"],
-            kernels=tuple(KernelRecord(**k) for k in d["kernels"]),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +112,7 @@ def device_key(device: Union[DeviceSpec, str]) -> str:
 def cache_key(implementation: str, config: ConvConfig,
               device: Union[DeviceSpec, str]) -> str:
     """Content-addressed key of one evaluation point."""
-    return (f"v{EVALCACHE_VERSION}|{implementation}|{config_key(config)}"
-            f"|{device_key(device)}")
+    return f"{implementation}|{config_key(config)}|{device_key(device)}"
 
 
 # ---------------------------------------------------------------------------
@@ -257,27 +155,18 @@ class EvalCache:
 
     Unbounded by design: the paper's whole sweep space is a few hundred
     points and a record is ~2 kB, so eviction would only cost rework.
-    An optional JSON store (``path``) makes repeat CLI runs warm-start;
-    loading tolerates missing/stale files (version-mismatched keys
-    simply never match).
     """
 
-    def __init__(self, path: Optional[str] = None):
+    def __init__(self):
         self._store: Dict[str, EvalRecord] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        self.path = path
-        if path and os.path.exists(path):
-            self.load(path)
 
     # -- bookkeeping -------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self._store)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._store
 
     @property
     def hit_rate(self) -> float:
@@ -310,95 +199,9 @@ class EvalCache:
                 self.hits += 1
             return record
 
-    def peek(self, key: str) -> Optional[EvalRecord]:
-        """Like :meth:`get` but without touching the counters."""
-        with self._lock:
-            return self._store.get(key)
-
-    def put(self, record: EvalRecord, key: Optional[str] = None) -> None:
-        if key is None:
-            key = cache_key(record.implementation, record.config,
-                            record.device)
+    def put(self, record: EvalRecord, key: str) -> None:
         with self._lock:
             self._store[key] = record
-
-    # -- evaluation --------------------------------------------------------
-
-    def evaluate(self, impl: ConvImplementation, config: ConvConfig,
-                 device: DeviceSpec = K40C) -> EvalRecord:
-        """One evaluation point: cache hit or a single model run."""
-        key = cache_key(impl.name, config, device)
-        record = self.get(key)
-        if record is not None:
-            return record
-        record = compute_record(impl, config, device)
-        with self._lock:
-            self._store[key] = record
-        return record
-
-    # -- disk store --------------------------------------------------------
-
-    def save(self, path: Optional[str] = None) -> str:
-        """Write all records as one JSON document; returns the path."""
-        path = path or self.path
-        if not path:
-            raise ValueError("no path given and none configured")
-        with self._lock:
-            payload = {
-                "version": EVALCACHE_VERSION,
-                "records": {k: r.to_dict() for k, r in self._store.items()},
-            }
-        directory = os.path.dirname(path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        tmp = f"{path}.tmp"
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
-        return path
-
-    def load(self, path: str) -> int:
-        """Merge records from a JSON store; returns how many loaded.
-
-        A store that cannot be trusted — truncated or corrupt JSON,
-        malformed records, or a different ``EVALCACHE_VERSION`` — is
-        *quarantined*: renamed to ``<path>.bad`` with a warning, and
-        the cache warm-starts empty.  A damaged disk store must never
-        crash a run (nor silently keep resurfacing on every run).
-        """
-        try:
-            with open(path) as fh:
-                payload = json.load(fh)
-            if not isinstance(payload, dict):
-                raise ValueError("store root is not an object")
-            if payload.get("version") != EVALCACHE_VERSION:
-                raise ValueError(
-                    f"store version {payload.get('version')!r} != "
-                    f"{EVALCACHE_VERSION}")
-            records = {k: EvalRecord.from_dict(d)
-                       for k, d in payload["records"].items()}
-        except OSError as exc:
-            warnings.warn(f"eval cache store {path!r} unreadable "
-                          f"({exc}); starting empty")
-            return 0
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            self._quarantine(path, str(exc))
-            return 0
-        with self._lock:
-            self._store.update(records)
-        return len(records)
-
-    @staticmethod
-    def _quarantine(path: str, reason: str) -> None:
-        """Move a damaged store aside (``<path>.bad``) and warn."""
-        bad = f"{path}.bad"
-        try:
-            os.replace(path, bad)
-            moved = f"quarantined to {bad!r}"
-        except OSError as exc:   # pragma: no cover - racing FS trouble
-            moved = f"could not quarantine ({exc})"
-        warnings.warn(f"eval cache store {path!r} is unusable ({reason}); "
-                      f"{moved}; starting empty")
 
 
 # ---------------------------------------------------------------------------
@@ -434,15 +237,6 @@ DISABLED = False
 #: What pipeline functions accept: the shared default (None), a
 #: specific cache instance, or DISABLED.
 CacheArg = Union[None, EvalCache, bool]
-
-
-def resolve_cache(cache: CacheArg) -> Optional[EvalCache]:
-    """Map a pipeline ``cache=`` argument onto an actual cache."""
-    if cache is None:
-        return get_cache()
-    if cache is DISABLED:
-        return None
-    return cache
 
 
 _REGISTRY_CLASSES: Optional[frozenset] = None
@@ -482,20 +276,21 @@ def evaluate(impl: ConvImplementation, config: ConvConfig,
     labeled with the device *identity* (``device="name@digest"``) so
     mixed-fleet telemetry rollups split cache traffic per device class.
     """
-    resolved = resolve_cache(cache)
+    if cache is None:
+        cache = get_cache()
     obs = get_obs()
     with obs.tracer.span("evalcache.evaluate", cat="evalcache",
                          implementation=impl.name) as sp:
-        if resolved is None or not cacheable(impl, device):
+        if cache is DISABLED or not cacheable(impl, device):
             result = "uncached"
             record = compute_record(impl, config, device)
         else:
             key = cache_key(impl.name, config, device)
-            record = resolved.get(key)
+            record = cache.get(key)
             result = "hit" if record is not None else "miss"
             if record is None:
                 record = compute_record(impl, config, device)
-                resolved.put(record, key)
+                cache.put(record, key)
         sp.annotate(result=result, config=config_key(config),
                     time_s=record.time_s)
     obs.registry.counter("evalcache_requests_total", result=result,

@@ -1,16 +1,13 @@
 """Tests for the shared analytic-evaluation cache."""
 
-import json
 import threading
 
 import pytest
 
 from repro.config import BASE_CONFIG, ConvConfig
 from repro.core import evalcache
-from repro.core.evalcache import (EvalCache, EvalRecord, cache_key,
-                                  cacheable, compute_record, config_key,
-                                  evaluate)
-from repro.core.parallel import SweepExecutor
+from repro.core.evalcache import (EvalCache, cache_key, cacheable,
+                                  compute_record, config_key, evaluate)
 from repro.frameworks.registry import (resolve_implementation,
                                        shared_implementations)
 from repro.gpusim.device import DEVICES, K40C, DeviceSpec
@@ -48,9 +45,9 @@ class TestKeys:
         assert (cache_key("cudnn", SMALL, K40C)
                 != cache_key("cudnn", SMALL, other))
 
-    def test_key_embeds_version(self):
-        assert f"v{evalcache.EVALCACHE_VERSION}|" in cache_key(
-            "cudnn", SMALL, K40C)
+    def test_key_embeds_device_digest(self):
+        assert cache_key("cudnn", SMALL, K40C).endswith(
+            f"|{evalcache.device_key(K40C)}")
 
     def test_device_accepts_name_or_spec(self):
         assert (cache_key("cudnn", SMALL, K40C)
@@ -60,8 +57,8 @@ class TestKeys:
 class TestCounters:
     def test_miss_then_hit(self, cudnn):
         cache = EvalCache()
-        first = cache.evaluate(cudnn, SMALL)
-        second = cache.evaluate(cudnn, SMALL)
+        first = evaluate(cudnn, SMALL, cache=cache)
+        second = evaluate(cudnn, SMALL, cache=cache)
         assert first is second
         assert cache.misses == 1 and cache.hits == 1
         assert len(cache) == 1
@@ -69,27 +66,21 @@ class TestCounters:
 
     def test_stats_shape(self, cudnn):
         cache = EvalCache()
-        cache.evaluate(cudnn, SMALL)
+        evaluate(cudnn, SMALL, cache=cache)
         assert cache.stats() == {"entries": 1, "hits": 0, "misses": 1,
                                  "hit_rate": 0.0}
 
-    def test_peek_does_not_count(self, cudnn):
-        cache = EvalCache()
-        key = cache_key(cudnn.name, SMALL, K40C)
-        assert cache.peek(key) is None
-        assert cache.misses == 0
-
     def test_clear_resets_everything(self, cudnn):
         cache = EvalCache()
-        cache.evaluate(cudnn, SMALL)
-        cache.evaluate(cudnn, SMALL)
+        evaluate(cudnn, SMALL, cache=cache)
+        evaluate(cudnn, SMALL, cache=cache)
         cache.clear()
         assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
 
     def test_distinct_configs_are_distinct_entries(self, cudnn):
         cache = EvalCache()
-        cache.evaluate(cudnn, SMALL)
-        cache.evaluate(cudnn, SMALL.scaled(batch=32))
+        evaluate(cudnn, SMALL, cache=cache)
+        evaluate(cudnn, SMALL.scaled(batch=32), cache=cache)
         assert len(cache) == 2 and cache.misses == 2
 
 
@@ -116,59 +107,6 @@ class TestRecords:
         profile = cudnn.profile_iteration(SMALL)
         assert record.time_s == profile.total_time_s
         assert record.peak_memory_bytes == cudnn.peak_memory_bytes(SMALL)
-
-
-class TestDiskRoundTrip:
-    def _populated(self, cudnn):
-        cache = EvalCache()
-        cache.evaluate(cudnn, SMALL)
-        cache.evaluate(cudnn, SMALL.scaled(kernel_size=5))
-        cache.evaluate(resolve_implementation("fbfft"), SMALL.scaled(stride=2))
-        return cache
-
-    def test_round_trip_preserves_records(self, tmp_path, cudnn):
-        cache = self._populated(cudnn)
-        path = str(tmp_path / "store.json")
-        cache.save(path)
-        fresh = EvalCache()
-        assert fresh.load(path) == 3
-        for key in cache._store:
-            assert fresh.peek(key).to_dict() == cache.peek(key).to_dict()
-
-    def test_loaded_record_supports_summaries(self, tmp_path, cudnn):
-        cache = self._populated(cudnn)
-        path = str(tmp_path / "store.json")
-        cache.save(path)
-        fresh = EvalCache(path=path)
-        key = cache_key(cudnn.name, SMALL, K40C)
-        original = cache.peek(key).summary(top_n=5)
-        loaded = fresh.peek(key).summary(top_n=5)
-        assert loaded.achieved_occupancy == pytest.approx(
-            original.achieved_occupancy)
-        assert loaded.ipc == pytest.approx(original.ipc)
-
-    def test_constructor_warm_start_serves_hits(self, tmp_path, cudnn):
-        cache = self._populated(cudnn)
-        path = str(tmp_path / "store.json")
-        cache.save(path)
-        warm = EvalCache(path=path)
-        warm.evaluate(cudnn, SMALL)
-        assert warm.hits == 1 and warm.misses == 0
-
-    def test_version_mismatch_loads_nothing(self, tmp_path, cudnn):
-        cache = self._populated(cudnn)
-        path = str(tmp_path / "store.json")
-        cache.save(path)
-        with open(path) as fh:
-            payload = json.load(fh)
-        payload["version"] = evalcache.EVALCACHE_VERSION + 1
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
-        assert EvalCache().load(path) == 0
-
-    def test_save_requires_a_path(self):
-        with pytest.raises(ValueError):
-            EvalCache().save()
 
 
 class TestPoisoningGuard:
@@ -212,7 +150,7 @@ class TestThreadSafety:
         results = [None] * len(configs)
 
         def worker(i):
-            results[i] = cache.evaluate(cudnn, configs[i])
+            results[i] = evaluate(cudnn, configs[i], cache=cache)
 
         threads = [threading.Thread(target=worker, args=(i,))
                    for i in range(len(configs))]
@@ -222,23 +160,32 @@ class TestThreadSafety:
             t.join()
         assert len(cache) == 4
         for cfg, record in zip(configs, results):
-            assert record.to_dict() == cache.evaluate(cudnn, cfg).to_dict()
+            assert record == evaluate(cudnn, cfg, cache=cache)
 
-    def test_parallel_executor_shares_one_store(self):
+    def test_concurrent_grid_shares_one_store(self):
         cache = EvalCache()
         impls = shared_implementations()
         configs = [SMALL.scaled(batch=16 * (1 + i)) for i in range(3)]
-        executor = SweepExecutor(workers=4, kind="thread")
-        grid = executor.map_grid(impls, configs, K40C, cache=cache)
-        expected = len(impls) * len(configs)
-        assert len(cache) == expected
-        assert cache.misses == expected
+        points = [(impl, cfg) for impl in impls for cfg in configs]
+        first = [None] * len(points)
+
+        def worker(i):
+            impl, cfg = points[i]
+            first[i] = evaluate(impl, cfg, K40C, cache=cache)
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(len(points))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(cache) == len(points)
+        misses = cache.misses
         # a rerun is all hits, no recomputation
-        again = executor.map_grid(impls, configs, K40C, cache=cache)
-        assert cache.misses == expected
-        for name in grid:
-            assert [r.time_s for r in again[name]] == \
-                   [r.time_s for r in grid[name]]
+        again = [evaluate(impl, cfg, K40C, cache=cache)
+                 for impl, cfg in points]
+        assert cache.misses == misses
+        assert [r.time_s for r in again] == [r.time_s for r in first]
 
 
 class TestSharedDefault:
@@ -255,70 +202,3 @@ class TestSharedDefault:
             assert store.hits > hits_before
         finally:
             evalcache.set_cache(previous)
-
-
-class TestQuarantine:
-    """A damaged disk store must never take the process down."""
-
-    def _saved(self, tmp_path, cudnn):
-        cache = EvalCache()
-        cache.evaluate(cudnn, SMALL)
-        path = str(tmp_path / "store.json")
-        cache.save(path)
-        return path
-
-    def test_truncated_store_quarantines_and_warms_empty(self, tmp_path,
-                                                         cudnn):
-        path = self._saved(tmp_path, cudnn)
-        blob = open(path).read()
-        with open(path, "w") as fh:
-            fh.write(blob[:len(blob) // 2])   # cut mid-JSON
-        fresh = EvalCache()
-        with pytest.warns(UserWarning, match="quarantined"):
-            assert fresh.load(path) == 0
-        import os
-        assert not os.path.exists(path)
-        assert os.path.exists(path + ".bad")
-        # The store is usable (and saveable) after the warm start.
-        fresh.evaluate(cudnn, SMALL)
-        fresh.save(path)
-
-    def test_garbage_json_quarantines(self, tmp_path, cudnn):
-        path = str(tmp_path / "store.json")
-        with open(path, "w") as fh:
-            fh.write("not json at all {{{")
-        with pytest.warns(UserWarning, match="quarantined"):
-            assert EvalCache().load(path) == 0
-
-    def test_wrong_root_type_quarantines(self, tmp_path):
-        path = str(tmp_path / "store.json")
-        with open(path, "w") as fh:
-            json.dump(["a", "list"], fh)
-        with pytest.warns(UserWarning, match="quarantined"):
-            assert EvalCache().load(path) == 0
-
-    def test_version_mismatch_quarantines(self, tmp_path, cudnn):
-        path = self._saved(tmp_path, cudnn)
-        with open(path) as fh:
-            payload = json.load(fh)
-        payload["version"] = evalcache.EVALCACHE_VERSION + 1
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
-        import os
-        with pytest.warns(UserWarning, match="quarantined"):
-            assert EvalCache().load(path) == 0
-        assert os.path.exists(path + ".bad")
-
-    def test_missing_file_is_not_quarantined(self, tmp_path):
-        path = str(tmp_path / "absent.json")
-        with pytest.warns(UserWarning, match="unreadable"):
-            assert EvalCache().load(path) == 0
-
-    def test_constructor_warm_start_survives_damage(self, tmp_path, cudnn):
-        path = self._saved(tmp_path, cudnn)
-        with open(path, "w") as fh:
-            fh.write("{")
-        with pytest.warns(UserWarning):
-            cache = EvalCache(path=path)
-        cache.evaluate(cudnn, SMALL)
-        assert cache.misses == 1

