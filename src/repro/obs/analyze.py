@@ -22,6 +22,11 @@ analysis works offline on saved artifacts — and produces:
   the quantity :mod:`repro.obs.diff` uses to explain run-to-run
   regressions.
 
+The loader streams (a JSONL line becomes its span node as soon as it
+is decoded, so only the forest outlives the load) and every table
+comes out of one preorder pass, :class:`RunSummary`, shared with
+:func:`repro.obs.diff.profile_run`.
+
 Everything here is a pure function of the trace: same JSONL in,
 byte-identical report out, asserted by ``tests/obs/test_analyze.py``
 and the ``trace-smoke`` CI gate.
@@ -30,8 +35,8 @@ and the ``trace-smoke`` CI gate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import TraceSchemaError
 from .export import SCHEMA_VERSION, SUPPORTED_SCHEMA_VERSIONS
@@ -41,33 +46,49 @@ from .tracer import SimTracer
 #: them (dispatch spans); kernel leaves inherit this label.
 _IMPL_ATTR = "implementation"
 
+#: Implementation label of kernel leaves outside any dispatch span.
+_UNATTRIBUTED = "(unattributed)"
 
-@dataclass
+
 class TraceEvent:
     """A point-in-time event reloaded from a trace."""
 
-    name: str
-    t_s: float
-    attrs: Dict[str, object]
+    __slots__ = ("name", "t_s", "attrs")
+
+    def __init__(self, name: str, t_s: float, attrs: Dict[str, object]):
+        self.name = name
+        self.t_s = t_s
+        self.attrs = attrs
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"TraceEvent({self.name!r}, t_s={self.t_s!r})"
 
 
-@dataclass
 class TraceSpan:
     """One span reloaded from (or adapted out of) a trace.
 
     The offline twin of :class:`repro.obs.tracer.Span`: same fields,
-    no tracer or clock attached, children linked by the loader.
+    no tracer or clock attached, children linked by the loader.  A
+    slotted class, not a dataclass: a reloaded fleet trace holds tens
+    of thousands of these.
     """
 
-    sid: int
-    parent: Optional[int]
-    name: str
-    cat: str
-    start_s: float
-    end_s: float
-    attrs: Dict[str, object]
-    children: List["TraceSpan"] = field(default_factory=list)
-    events: List[TraceEvent] = field(default_factory=list)
+    __slots__ = ("sid", "parent", "name", "cat", "start_s", "end_s",
+                 "attrs", "children", "events")
+
+    def __init__(self, sid: int, parent: Optional[int], name: str, cat: str,
+                 start_s: float, end_s: float, attrs: Dict[str, object],
+                 children: Optional[List["TraceSpan"]] = None,
+                 events: Optional[List[TraceEvent]] = None):
+        self.sid = sid
+        self.parent = parent
+        self.name = name
+        self.cat = cat
+        self.start_s = start_s
+        self.end_s = end_s
+        self.attrs = attrs
+        self.children = [] if children is None else children
+        self.events = [] if events is None else events
 
     @property
     def duration_s(self) -> float:
@@ -77,6 +98,10 @@ class TraceSpan:
     def self_s(self) -> float:
         """Time spent in this span but not in any child."""
         return self.duration_s - sum(c.duration_s for c in self.children)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (f"TraceSpan({self.name!r}, cat={self.cat!r}, "
+                f"sid={self.sid}, {len(self.children)} children)")
 
 
 class TraceRun:
@@ -91,20 +116,21 @@ class TraceRun:
         self.schema_version = schema_version
         self.source = source
 
-    def walk(self):
-        """Yield every span depth-first, roots in order."""
-        def visit(span: TraceSpan):
+    def walk(self) -> Iterator[TraceSpan]:
+        """Yield every span depth-first (preorder), roots in order."""
+        stack = self.roots[::-1]
+        while stack:
+            span = stack.pop()
             yield span
-            for child in span.children:
-                yield from visit(child)
-        for root in self.roots:
-            yield from visit(root)
-
-    def find(self, name: str) -> List[TraceSpan]:
-        return [s for s in self.walk() if s.name == name]
+            stack += span.children[::-1]
 
     def span_count(self) -> int:
-        return sum(1 for _ in self.walk())
+        count = 0
+        stack = list(self.roots)
+        while stack:
+            count += 1
+            stack += stack.pop().children
+        return count
 
     @property
     def duration_s(self) -> float:
@@ -146,17 +172,93 @@ def from_tracer(tracer: SimTracer) -> TraceRun:
     return TraceRun(roots, orphans, source="<tracer>")
 
 
-def parse_jsonl(lines: Sequence[str], source: str = "<memory>") -> TraceRun:
+#: Largest integer magnitude accepted for a time field: every such
+#: integer is exact as a float, so no arithmetic on it can overflow.
+_MAX_EXACT_INT = 2 ** 53
+
+
+def _is_real(value) -> bool:
+    """A JSON number usable as simulated seconds (bool is not one)."""
+    kind = type(value)
+    return kind is float or (kind is int
+                             and -_MAX_EXACT_INT <= value <= _MAX_EXACT_INT)
+
+
+def _field_error(where: str, record: str, field: str, want: str,
+                 value) -> TraceSchemaError:
+    return TraceSchemaError(f"{where}: {record} field {field!r} must be "
+                            f"{want}, got {value!r}")
+
+
+def _attrs(rec: dict, where: str, record: str) -> Dict[str, object]:
+    """The record's ``attrs`` object, uncopied (``json.loads`` already
+    made it fresh); absent or null reads as empty."""
+    attrs = rec.get("attrs")
+    if attrs is None:
+        return {}
+    if type(attrs) is not dict:
+        raise _field_error(where, record, "attrs", "an object", attrs)
+    return attrs
+
+
+def _span_record(rec: dict, where: str) -> TraceSpan:
+    try:
+        sid, parent = rec["sid"], rec["parent"]
+        name, cat = rec["name"], rec["cat"]
+        start_s, end_s = rec["start_s"], rec["end_s"]
+    except KeyError as exc:
+        raise TraceSchemaError(f"{where}: span record missing {exc}") from exc
+    if type(sid) is not int:
+        raise _field_error(where, "span", "sid", "an integer", sid)
+    if parent is not None and type(parent) is not int:
+        raise _field_error(where, "span", "parent", "an integer or null",
+                           parent)
+    if type(name) is not str:
+        raise _field_error(where, "span", "name", "a string", name)
+    if type(cat) is not str:
+        raise _field_error(where, "span", "cat", "a string", cat)
+    if not _is_real(start_s):
+        raise _field_error(where, "span", "start_s", "a number", start_s)
+    if not _is_real(end_s):
+        raise _field_error(where, "span", "end_s", "a number", end_s)
+    return TraceSpan(sid, parent, name, cat, start_s, end_s,
+                     _attrs(rec, where, "span"))
+
+
+def _event_record(rec: dict, where: str) -> Tuple[Optional[int], TraceEvent]:
+    try:
+        name, t_s = rec["name"], rec["t_s"]
+    except KeyError as exc:
+        raise TraceSchemaError(
+            f"{where}: event record missing {exc}") from exc
+    sid = rec.get("span")
+    if sid is not None and type(sid) is not int:
+        raise _field_error(where, "event", "span", "an integer or null", sid)
+    if type(name) is not str:
+        raise _field_error(where, "event", "name", "a string", name)
+    if not _is_real(t_s):
+        raise _field_error(where, "event", "t_s", "a number", t_s)
+    return sid, TraceEvent(name, t_s, _attrs(rec, where, "event"))
+
+
+def parse_jsonl(lines: Iterable[str], source: str = "<memory>") -> TraceRun:
     """Rebuild a span forest from JSONL event-log lines.
 
-    The first record may be a ``header`` carrying ``schema_version``
-    (logs written before versioning are treated as version 1); an
-    unknown version raises :class:`~repro.errors.TraceSchemaError`
+    Streaming: each line is decoded and turned into its node at once,
+    so only the forest itself outlives the loop (``lines`` may be an
+    open file).  The first record may be a ``header`` carrying
+    ``schema_version`` (logs written before versioning are treated as
+    version 1); an unknown version, a malformed record or a field of
+    the wrong type raises :class:`~repro.errors.TraceSchemaError`
     rather than silently misreading the log.
     """
     version = SCHEMA_VERSION
-    records = []
-    for i, line in enumerate(lines):
+    nodes: Dict[int, TraceSpan] = {}
+    order: List[TraceSpan] = []
+    orphans: List[TraceEvent] = []
+    pending_events: List[Tuple[int, int, TraceEvent]] = []
+    first = True
+    for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
@@ -164,53 +266,37 @@ def parse_jsonl(lines: Sequence[str], source: str = "<memory>") -> TraceRun:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceSchemaError(
-                f"{source}:{i + 1}: not valid JSON: {exc}") from exc
+                f"{source}:{lineno}: not valid JSON: {exc}") from exc
         if not isinstance(rec, dict) or "type" not in rec:
             raise TraceSchemaError(
-                f"{source}:{i + 1}: record has no 'type' field")
-        records.append((i + 1, rec))
-    if records and records[0][1]["type"] == "header":
-        header = records.pop(0)[1]
-        version = header.get("schema_version")
-        if version not in SUPPORTED_SCHEMA_VERSIONS:
-            raise TraceSchemaError(
-                f"{source}: unsupported trace schema_version {version!r} "
-                f"(supported: {list(SUPPORTED_SCHEMA_VERSIONS)})")
-
-    nodes: Dict[int, TraceSpan] = {}
-    orphans: List[TraceEvent] = []
-    pending_events: List[Tuple[int, int, TraceEvent]] = []
-    order: List[TraceSpan] = []
-    for lineno, rec in records:
+                f"{source}:{lineno}: record has no 'type' field")
         kind = rec["type"]
         if kind == "span":
-            try:
-                node = TraceSpan(sid=rec["sid"], parent=rec["parent"],
-                                 name=rec["name"], cat=rec["cat"],
-                                 start_s=rec["start_s"], end_s=rec["end_s"],
-                                 attrs=dict(rec.get("attrs") or {}))
-            except KeyError as exc:
-                raise TraceSchemaError(
-                    f"{source}:{lineno}: span record missing {exc}") from exc
+            node = _span_record(rec, f"{source}:{lineno}")
             if node.sid in nodes:
                 raise TraceSchemaError(
                     f"{source}:{lineno}: duplicate span sid {node.sid}")
             nodes[node.sid] = node
             order.append(node)
         elif kind == "event":
-            ev = TraceEvent(rec["name"], rec["t_s"],
-                            dict(rec.get("attrs") or {}))
-            sid = rec.get("span")
+            sid, ev = _event_record(rec, f"{source}:{lineno}")
             if sid is None:
                 orphans.append(ev)
             else:
                 pending_events.append((lineno, sid, ev))
         elif kind == "header":
-            raise TraceSchemaError(
-                f"{source}:{lineno}: header must be the first record")
+            if not first:
+                raise TraceSchemaError(
+                    f"{source}:{lineno}: header must be the first record")
+            version = rec.get("schema_version")
+            if version not in SUPPORTED_SCHEMA_VERSIONS:
+                raise TraceSchemaError(
+                    f"{source}: unsupported trace schema_version {version!r} "
+                    f"(supported: {list(SUPPORTED_SCHEMA_VERSIONS)})")
         else:
             raise TraceSchemaError(
                 f"{source}:{lineno}: unknown record type {kind!r}")
+        first = False
     roots: List[TraceSpan] = []
     for node in order:
         parent = nodes.get(node.parent) if node.parent is not None else None
@@ -228,9 +314,10 @@ def parse_jsonl(lines: Sequence[str], source: str = "<memory>") -> TraceRun:
 
 
 def load_jsonl(path: str) -> TraceRun:
-    """Load a saved JSONL event log (``repro serve --trace x.jsonl``)."""
+    """Load a saved JSONL event log (``repro serve --trace x.jsonl``),
+    streaming it line by line."""
     with open(path) as fh:
-        return parse_jsonl(fh.readlines(), source=path)
+        return parse_jsonl(fh, source=path)
 
 
 # ---------------------------------------------------------------------------
@@ -289,19 +376,128 @@ class SpanStat:
         return self.total_s / self.count if self.count else 0.0
 
 
+def _number(attrs: Dict[str, object], key: str, default: float,
+            source: str, sid: int, convert=float):
+    """``convert(attrs.get(key, default))``, or a typed error naming
+    the span when the attribute is not a number."""
+    value = attrs.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise TraceSchemaError(
+            f"{source}: span {sid}: attr {key!r} must be a number, "
+            f"got {value!r}") from exc
+
+
+class RunSummary:
+    """Everything one preorder pass over a span forest yields.
+
+    Span count, per-``(name, cat)`` aggregates, per-span self time,
+    GPU-leaf time per implementation and role, the event census with
+    its fault-attributed time, plan lookups and batch statistics all
+    come out of a single walk, which :func:`analyze_run` and
+    :func:`repro.obs.diff.profile_run` share.  Every sum accumulates in
+    preorder, so each float is bit-identical to what a separate walk
+    per table would produce.
+    """
+
+    def __init__(self, run: TraceRun):
+        source = run.source
+        #: Self time of every span, in preorder (``len`` is the count).
+        self_times: List[float] = []
+        stats: Dict[Tuple[str, str], List[float]] = {}
+        #: (implementation, role) -> [GPU-leaf count, seconds].
+        gpu: Dict[Tuple[str, str], List[float]] = {}
+        events: Dict[str, int] = {}
+        fault_time = 0.0
+        plans = hits = 0
+        sizes: List[float] = []
+        fills: List[float] = []
+        stack = [(root, _UNATTRIBUTED) for root in reversed(run.roots)]
+        while stack:
+            span, impl = stack.pop()
+            attrs = span.attrs
+            if _IMPL_ATTR in attrs:
+                impl = str(attrs[_IMPL_ATTR])
+            duration = span.end_s - span.start_s
+            children = span.children
+            self_s = (duration - sum([c.end_s - c.start_s for c in children])
+                      if children else duration)
+            self_times.append(self_s)
+            name = span.name
+            key = (name, span.cat)
+            row = stats.get(key)
+            if row is None:
+                row = stats[key] = [0, 0.0, 0.0]
+            row[0] += 1
+            row[1] += duration
+            row[2] += self_s
+            if span.cat == "gpu":
+                key = (impl, str(attrs.get("role", "other")))
+                row = gpu.get(key)
+                if row is None:
+                    row = gpu[key] = [0, 0.0]
+                row[0] += 1
+                row[1] += duration
+            if name == "serve.plan":
+                plans += 1
+                if attrs.get("hit"):
+                    hits += 1
+            elif name == "serve.batch":
+                sizes.append(_number(attrs, "batch", 0, source, span.sid))
+                fills.append(_number(attrs, "fill", 0, source, span.sid))
+            for ev in span.events:
+                events[ev.name] = events.get(ev.name, 0) + 1
+                if ev.name == "fault.transient":
+                    fault_time += _number(ev.attrs, "retry_cost_s", 0.0,
+                                          source, span.sid)
+                elif ev.name == "retry.backoff":
+                    fault_time += _number(ev.attrs, "backoff_s", 0.0,
+                                          source, span.sid)
+                elif ev.name == "fault.straggler":
+                    slowdown = _number(ev.attrs, "slowdown", 1.0,
+                                       source, span.sid)
+                    if slowdown > 1.0:
+                        fault_time += duration * (1.0 - 1.0 / slowdown)
+            if children:
+                stack += [(child, impl) for child in reversed(children)]
+        for ev in run.orphan_events:
+            events[ev.name] = events.get(ev.name, 0) + 1
+
+        self.self_times = self_times
+        self.gpu = gpu
+        self.events = events
+        self.fault_time_s = fault_time
+        self.plan_hits = hits
+        self.plan_misses = plans - hits
+        self.batch_count = len(sizes)
+        self.mean_batch = sum(sizes) / len(sizes) if sizes else 0.0
+        self.mean_fill = sum(fills) / len(fills) if fills else 0.0
+        self._stats = stats
+
+    @property
+    def span_count(self) -> int:
+        return len(self.self_times)
+
+    def aggregates(self) -> List[SpanStat]:
+        """Self-time vs total-time per ``(name, cat)``, longest first."""
+        stats = [SpanStat(name=name, cat=cat, count=int(c), total_s=t,
+                          self_s=s)
+                 for (name, cat), (c, t, s) in self._stats.items()]
+        stats.sort(key=lambda st: (-st.total_s, st.name))
+        return stats
+
+    def hotspot_table(self) -> Dict[str, Dict[str, float]]:
+        """GPU-leaf seconds per implementation per kernel role."""
+        table: Dict[str, Dict[str, float]] = {}
+        for (impl, role), (_, secs) in self.gpu.items():
+            table.setdefault(impl, {})[role] = secs
+        return table
+
+
 def span_aggregates(run: TraceRun) -> List[SpanStat]:
     """Self-time vs total-time per ``(name, cat)``, longest first."""
-    acc: Dict[Tuple[str, str], List[float]] = {}
-    for span in run.walk():
-        key = (span.name, span.cat)
-        row = acc.setdefault(key, [0, 0.0, 0.0])
-        row[0] += 1
-        row[1] += span.duration_s
-        row[2] += span.self_s
-    stats = [SpanStat(name=name, cat=cat, count=int(c), total_s=t, self_s=s)
-             for (name, cat), (c, t, s) in acc.items()]
-    stats.sort(key=lambda st: (-st.total_s, st.name))
-    return stats
+    return RunSummary(run).aggregates()
 
 
 # ---------------------------------------------------------------------------
@@ -311,25 +507,12 @@ def span_aggregates(run: TraceRun) -> List[SpanStat]:
 def hotspot_table(run: TraceRun) -> Dict[str, Dict[str, float]]:
     """GPU-leaf time per implementation per kernel role.
 
-    Walks the tree carrying the innermost ``implementation`` attribute
-    (set by dispatch spans) so each gpusim leaf is attributed to the
+    The walk carries the innermost ``implementation`` attribute (set by
+    dispatch spans) so each gpusim leaf is attributed to the
     implementation that launched it.  Leaves outside any dispatch land
     under ``"(unattributed)"``.
     """
-    table: Dict[str, Dict[str, float]] = {}
-
-    def visit(span: TraceSpan, impl: str) -> None:
-        impl = str(span.attrs.get(_IMPL_ATTR, impl))
-        if span.cat == "gpu":
-            role = str(span.attrs.get("role", "other"))
-            roles = table.setdefault(impl, {})
-            roles[role] = roles.get(role, 0.0) + span.duration_s
-        for child in span.children:
-            visit(child, impl)
-
-    for root in run.roots:
-        visit(root, "(unattributed)")
-    return table
+    return RunSummary(run).hotspot_table()
 
 
 def hotspot_shares(table: Dict[str, Dict[str, float]]
@@ -372,22 +555,8 @@ def fault_census(run: TraceRun) -> Tuple[Dict[str, int], float]:
     """Event counts by name, plus simulated seconds attributable to
     fault handling: ECC replay costs, retry backoff, and straggler
     drag (the slowdown-inflated fraction of each hit dispatch)."""
-    counts: Dict[str, int] = {}
-    fault_time = 0.0
-    for span in run.walk():
-        for ev in span.events:
-            counts[ev.name] = counts.get(ev.name, 0) + 1
-            if ev.name == "fault.transient":
-                fault_time += float(ev.attrs.get("retry_cost_s", 0.0))
-            elif ev.name == "retry.backoff":
-                fault_time += float(ev.attrs.get("backoff_s", 0.0))
-            elif ev.name == "fault.straggler":
-                slowdown = float(ev.attrs.get("slowdown", 1.0))
-                if slowdown > 1.0:
-                    fault_time += span.duration_s * (1.0 - 1.0 / slowdown)
-    for ev in run.orphan_events:
-        counts[ev.name] = counts.get(ev.name, 0) + 1
-    return counts, fault_time
+    summary = RunSummary(run)
+    return summary.events, summary.fault_time_s
 
 
 # ---------------------------------------------------------------------------
@@ -490,33 +659,27 @@ class TraceAnalysis:
 
 
 def analyze_run(run: TraceRun) -> TraceAnalysis:
-    """Derive the full analysis from one loaded trace."""
-    table = hotspot_table(run)
-    events, fault_time = fault_census(run)
-    plans = run.find("serve.plan")
-    hits = sum(1 for p in plans if p.attrs.get("hit"))
-    batch_spans = run.find("serve.batch")
-    batch_sizes = [float(b.attrs.get("batch", 0)) for b in batch_spans]
-    batch_fills = [float(b.attrs.get("fill", 0)) for b in batch_spans]
+    """Derive the full analysis from one loaded trace (one walk)."""
+    summary = RunSummary(run)
+    table = summary.hotspot_table()
     longest_root = max(run.roots, key=lambda r: (r.duration_s, -r.start_s),
                        default=None)
     return TraceAnalysis(
         source=run.source,
-        span_count=run.span_count(),
+        span_count=summary.span_count,
         duration_s=run.duration_s,
-        aggregates=tuple(span_aggregates(run)),
+        aggregates=tuple(summary.aggregates()),
         critical=tuple(critical_path(longest_root))
         if longest_root is not None else (),
         hotspots=table,
         shares=hotspot_shares(table),
         reconciliation=reconcile_hotspots(table),
-        events=events,
-        fault_time_s=fault_time,
-        plan_lookups={"hits": hits, "misses": len(plans) - hits}
-        if plans else {},
-        batches={"count": float(len(batch_spans)),
-                 "mean_batch": (sum(batch_sizes) / len(batch_sizes)
-                                if batch_sizes else 0.0),
-                 "mean_fill": (sum(batch_fills) / len(batch_fills)
-                               if batch_fills else 0.0)},
+        events=summary.events,
+        fault_time_s=summary.fault_time_s,
+        plan_lookups={"hits": summary.plan_hits,
+                      "misses": summary.plan_misses}
+        if summary.plan_hits or summary.plan_misses else {},
+        batches={"count": float(summary.batch_count),
+                 "mean_batch": summary.mean_batch,
+                 "mean_fill": summary.mean_fill},
     )

@@ -13,7 +13,7 @@ total-time and self-time deltas; on top of the raw deltas it ranks
 * **fault_injections** — fault events present in the candidate but
   not the baseline, weighted by the simulated time they cost (ECC
   replay + backoff + straggler drag, from
-  :func:`repro.obs.analyze.fault_census`);
+  :class:`repro.obs.analyze.RunSummary`);
 * **plan_cache_misses** — extra advisor rankings the candidate paid
   for, weighted by the advisor-span time delta;
 * **batch_size_shift** — the batcher formed differently sized batches
@@ -31,9 +31,9 @@ zero findings — the ``repro analyze --baseline`` CI check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from .analyze import TraceRun, TraceSpan, fault_census
+from .analyze import RunSummary, TraceRun, TraceSpan, _number
 
 #: Relative change below which a quantity counts as unchanged (floats
 #: from two identical runs compare exactly; this guards real pairs).
@@ -73,49 +73,52 @@ def _path_label(span: TraceSpan) -> str:
 
 
 def profile_run(run: TraceRun) -> RunProfile:
-    """Summarise one loaded trace into its alignable form."""
+    """Summarise one loaded trace into its alignable form.
+
+    Events, fault time, plan lookups, batches and GPU roles come from
+    the shared :class:`~repro.obs.analyze.RunSummary` pass; only the
+    path-keyed rows need a walk of their own, which reads each span's
+    self time from that pass (both walks are the same preorder).
+    """
+    summary = RunSummary(run)
+    self_times = iter(summary.self_times)
     paths: Dict[str, List[float]] = {}
-    gpu_roles: Dict[str, List[float]] = {}
-
-    def visit(span: TraceSpan, prefix: str, impl: str) -> None:
-        impl = str(span.attrs.get("implementation", impl))
-        path = f"{prefix}/{_path_label(span)}" if prefix else _path_label(span)
-        row = paths.setdefault(path, [0, 0.0, 0.0])
+    stack = [(root, "") for root in reversed(run.roots)]
+    while stack:
+        span, prefix = stack.pop()
+        label = _path_label(span)
+        path = f"{prefix}/{label}" if prefix else label
+        row = paths.get(path)
+        if row is None:
+            row = paths[path] = [0, 0.0, 0.0]
         row[0] += 1
-        row[1] += span.duration_s
-        row[2] += span.self_s
-        if span.cat == "gpu":
-            role = str(span.attrs.get("role", "other"))
-            grow = gpu_roles.setdefault(f"{impl}/{role}", [0, 0.0])
-            grow[0] += 1
-            grow[1] += span.duration_s
-        for child in span.children:
-            visit(child, path, impl)
+        row[1] += span.end_s - span.start_s
+        row[2] += next(self_times)
+        if span.children:
+            stack += [(child, path) for child in reversed(span.children)]
 
-    for root in run.roots:
-        visit(root, "", "(unattributed)")
-
-    events, fault_time = fault_census(run)
-    plans = run.find("serve.plan")
-    hits = sum(1 for p in plans if p.attrs.get("hit"))
-    batches = run.find("serve.batch")
-    sizes = [float(b.attrs.get("batch", 0)) for b in batches]
-    fills = [float(b.attrs.get("fill", 0)) for b in batches]
-    arrivals = sum(int(r.attrs.get("arrivals", 0)) for r in run.roots)
+    gpu_roles: Dict[str, Tuple[int, float]] = {}
+    for (impl, role), (count, secs) in summary.gpu.items():
+        key = f"{impl}/{role}"
+        c0, t0 = gpu_roles.get(key, (0, 0.0))
+        gpu_roles[key] = (c0 + count, t0 + secs)
+    arrivals = sum(_number(r.attrs, "arrivals", 0, run.source, r.sid,
+                           convert=int)
+                   for r in run.roots)
     return RunProfile(
         source=run.source,
         duration_s=run.duration_s,
         paths={k: PathStat(int(c), t, s)
                for k, (c, t, s) in paths.items()},
-        events=events,
-        fault_time_s=fault_time,
-        plan_hits=hits,
-        plan_misses=len(plans) - hits,
-        batch_count=len(batches),
-        mean_batch=sum(sizes) / len(sizes) if sizes else 0.0,
-        mean_fill=sum(fills) / len(fills) if fills else 0.0,
+        events=summary.events,
+        fault_time_s=summary.fault_time_s,
+        plan_hits=summary.plan_hits,
+        plan_misses=summary.plan_misses,
+        batch_count=summary.batch_count,
+        mean_batch=summary.mean_batch,
+        mean_fill=summary.mean_fill,
         arrivals=arrivals,
-        gpu_roles={k: (int(c), t) for k, (c, t) in gpu_roles.items()},
+        gpu_roles=gpu_roles,
     )
 
 

@@ -17,10 +17,11 @@ same-seed runs produce byte-identical files.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, Tuple
 
 from .metrics import MetricsRegistry
-from .tracer import SimTracer, Span
+from .tracer import SimTracer, Span, SpanEvent
 
 #: Version stamped into the JSONL event log's header record and the
 #: metrics-snapshot files.  Bump it when a record's shape changes so
@@ -307,24 +308,78 @@ def _jsonl_header() -> str:
                        "schema_version": SCHEMA_VERSION}, sort_keys=True)
 
 
+#: The one encoder for values the direct path below does not handle
+#: (containers, subclasses); same settings as ``json.dumps(...,
+#: sort_keys=True)``.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+_INF = float("inf")
+
+
+def _json_value(value) -> str:
+    """``json.dumps(value, sort_keys=True)``: scalars through the json
+    module's own string and float encoders, anything else through the
+    shared :data:`_ENCODER`."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is float:
+        if value != value:
+            return "NaN"
+        if value == _INF:
+            return "Infinity"
+        if value == -_INF:
+            return "-Infinity"
+        return float.__repr__(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return _ENCODER.encode(value)
+
+
+def _json_attrs(attrs: dict) -> str:
+    """``json.dumps(attrs, sort_keys=True)`` for an attribute dict."""
+    parts = []
+    for key, value in sorted(attrs.items()):
+        if type(key) is not str:
+            return _ENCODER.encode(attrs)
+        parts.append(f"{encode_basestring_ascii(key)}: {_json_value(value)}")
+    return "{" + ", ".join(parts) + "}"
+
+
 def _tracer_jsonl(tracer: SimTracer) -> List[str]:
-    """One tracer's span/event records (no header), depth-first."""
+    """One tracer's span/event records (no header), depth-first.
+
+    Each line is exactly ``json.dumps(record, sort_keys=True)`` of the
+    record's dict; the fixed, already-sorted key skeleton is written
+    directly instead of building and encoding a dict per record.
+    """
     lines: List[str] = []
+    append = lines.append
     for span in tracer.walk():
-        lines.append(json.dumps(
-            {"type": "span", "sid": span.sid, "parent": span.parent_sid,
-             "name": span.name, "cat": span.cat, "start_s": span.start_s,
-             "end_s": span.end_s, "attrs": dict(span.attrs)},
-            sort_keys=True))
+        sid = _json_value(span.sid)
+        append(f'{{"attrs": {_json_attrs(span.attrs)}, '
+               f'"cat": {_json_value(span.cat)}, '
+               f'"end_s": {_json_value(span.end_s)}, '
+               f'"name": {_json_value(span.name)}, '
+               f'"parent": {_json_value(span.parent_sid)}, '
+               f'"sid": {sid}, '
+               f'"start_s": {_json_value(span.start_s)}, "type": "span"}}')
         for ev in span.events:
-            lines.append(json.dumps(
-                {"type": "event", "span": span.sid, "name": ev.name,
-                 "t_s": ev.t_s, "attrs": dict(ev.attrs)}, sort_keys=True))
+            append(_event_jsonl(sid, ev))
     for ev in tracer.orphan_events:
-        lines.append(json.dumps(
-            {"type": "event", "span": None, "name": ev.name,
-             "t_s": ev.t_s, "attrs": dict(ev.attrs)}, sort_keys=True))
+        append(_event_jsonl("null", ev))
     return lines
+
+
+def _event_jsonl(span: str, ev: SpanEvent) -> str:
+    return (f'{{"attrs": {_json_attrs(ev.attrs)}, '
+            f'"name": {_json_value(ev.name)}, "span": {span}, '
+            f'"t_s": {_json_value(ev.t_s)}, "type": "event"}}')
 
 
 def jsonl_lines(tracer: SimTracer) -> List[str]:

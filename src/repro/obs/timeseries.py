@@ -379,15 +379,26 @@ def load_window_log(path: str) -> Tuple[dict, List[dict]]:
     :func:`write_window_log`; refuses foreign or future formats."""
     from ..errors import TraceSchemaError
 
+    docs: List[dict] = []
     with open(path) as fh:
-        raw = [line for line in (l.strip() for l in fh) if line]
-    if not raw:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise TraceSchemaError(
+                    f"{path}:{lineno}: not valid JSONL: {exc}") from exc
+            if not isinstance(doc, dict):
+                what = "window" if docs else "header"
+                raise TraceSchemaError(
+                    f"{path}:{lineno}: {what} record is not a JSON object: "
+                    f"{doc!r}")
+            docs.append(doc)
+    if not docs:
         raise TraceSchemaError(f"{path}: empty window log")
-    try:
-        header = json.loads(raw[0])
-        docs = [json.loads(line) for line in raw[1:]]
-    except json.JSONDecodeError as exc:
-        raise TraceSchemaError(f"{path}: not valid JSONL: {exc}") from exc
+    header = docs.pop(0)
     if header.get("format") != WINDOW_LOG_FORMAT:
         raise TraceSchemaError(
             f"{path}: not a telemetry window log "

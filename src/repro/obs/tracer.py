@@ -34,7 +34,7 @@ expensive span synthesis like gpusim kernel leaves).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 
 class SpanEvent:
@@ -180,18 +180,21 @@ class SimTracer:
 
     def span_count(self) -> int:
         """Total finished spans across all roots."""
-        def count(span: Span) -> int:
-            return 1 + sum(count(c) for c in span.children)
-        return sum(count(r) for r in self.roots)
+        count = 0
+        stack = list(self.roots)
+        while stack:
+            count += 1
+            stack += stack.pop().children
+        return count
 
-    def walk(self):
-        """Yield every finished span depth-first, roots in order."""
-        def visit(span: Span):
+    def walk(self) -> Iterator[Span]:
+        """Yield every finished span depth-first (preorder), roots in
+        order."""
+        stack = self.roots[::-1]
+        while stack:
+            span = stack.pop()
             yield span
-            for child in span.children:
-                yield from visit(child)
-        for root in self.roots:
-            yield from visit(root)
+            stack += span.children[::-1]
 
     def find(self, name: str) -> List[Span]:
         """All finished spans with this name, depth-first order."""

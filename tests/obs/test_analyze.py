@@ -1,8 +1,11 @@
 """Tests for the offline trace analytics (repro.obs.analyze)."""
 
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.config import BASE_CONFIG
 from repro.core.evalcache import evaluate, reset_cache
@@ -15,6 +18,7 @@ from repro.obs.analyze import (analyze_run, critical_path, fault_census,
                                from_tracer, hotspot_shares, hotspot_table,
                                load_jsonl, parse_jsonl, reconcile_hotspots,
                                span_aggregates)
+from repro.obs.diff import profile_run
 from repro.obs.export import jsonl_lines, write_jsonl
 from repro.obs.tracer import SimTracer
 from repro.serve import Server, ServerConfig, TrafficSpec, generate_trace
@@ -113,6 +117,168 @@ class TestLoading:
         run = parse_jsonl([span])
         assert run.schema_version == 1
         assert run.span_count() == 1
+
+
+def span_line(**fields):
+    rec = {"type": "span", "sid": 1, "parent": None, "name": "a",
+           "cat": "serve", "start_s": 0.0, "end_s": 1.0, "attrs": {}}
+    rec.update(fields)
+    return json.dumps({k: v for k, v in rec.items() if v is not ...})
+
+
+def event_line(**fields):
+    rec = {"type": "event", "span": 1, "name": "x", "t_s": 0.5,
+           "attrs": {}}
+    rec.update(fields)
+    return json.dumps({k: v for k, v in rec.items() if v is not ...})
+
+
+class TestFieldTypes:
+    """Malformed records raise TraceSchemaError naming the line, never
+    a bare KeyError/TypeError from deep inside the analysis."""
+
+    @pytest.mark.parametrize("line, match", [
+        (event_line(name=...), r"<memory>:2: event record missing 'name'"),
+        (event_line(t_s=...), r"<memory>:2: event record missing 't_s'"),
+        (span_line(sid=2, attrs=[1, 2]), r"<memory>:2: span field 'attrs'"),
+        (event_line(attrs=["a"]), r"<memory>:2: event field 'attrs'"),
+        (event_line(attrs="a"), r"event field 'attrs' must be an object"),
+        (span_line(sid=[2]), r"<memory>:2: span field 'sid' must be an int"),
+        (span_line(sid=True), r"span field 'sid' must be an integer"),
+        (span_line(sid=2.0), r"span field 'sid' must be an integer"),
+        (span_line(sid=2, parent="1"), r"span field 'parent'"),
+        (span_line(sid=2, parent=[1]), r"span field 'parent'"),
+        (span_line(sid=2, name=7), r"span field 'name' must be a string"),
+        (span_line(sid=2, cat=None), r"span field 'cat' must be a string"),
+        (span_line(sid=2, start_s="0"), r"span field 'start_s' must be a nu"),
+        (span_line(sid=2, end_s=False), r"span field 'end_s' must be a num"),
+        (span_line(sid=2, end_s=10 ** 400), r"span field 'end_s'"),
+        (event_line(span={"sid": 1}), r"event field 'span' must be an int"),
+        (event_line(span="1"), r"event field 'span'"),
+        (event_line(name=["x"]), r"event field 'name' must be a string"),
+        (event_line(t_s="now"), r"event field 't_s' must be a number"),
+        (event_line(t_s=None), r"event field 't_s' must be a number"),
+    ])
+    def test_bad_field_rejected_with_line(self, line, match):
+        with pytest.raises(TraceSchemaError, match=match):
+            parse_jsonl([span_line(), line])
+
+    def test_null_or_absent_attrs_load_empty(self):
+        run = parse_jsonl([span_line(attrs=None), span_line(sid=2,
+                                                           attrs=...)])
+        assert [s.attrs for s in run.walk()] == [{}, {}]
+
+    def test_integer_times_load(self):
+        run = parse_jsonl([span_line(start_s=0, end_s=3),
+                           event_line(t_s=1)])
+        assert run.roots[0].duration_s == 3
+        assert analyze_run(run).span_count == 1
+
+    @pytest.mark.parametrize("lines, match", [
+        ([span_line(name="serve.batch", attrs={"batch": "many"})],
+         r"span 1: attr 'batch' must be a number"),
+        ([span_line(name="serve.batch", attrs={"fill": [1]})],
+         r"span 1: attr 'fill' must be a number"),
+        ([span_line(), event_line(name="fault.transient",
+                                  attrs={"retry_cost_s": {}})],
+         r"span 1: attr 'retry_cost_s' must be a number"),
+        ([span_line(), event_line(name="fault.straggler",
+                                  attrs={"slowdown": "fast"})],
+         r"span 1: attr 'slowdown' must be a number"),
+    ])
+    def test_non_numeric_attr_rejected_by_analysis(self, lines, match):
+        run = parse_jsonl(lines, source="t.jsonl")
+        with pytest.raises(TraceSchemaError, match="t.jsonl: " + match):
+            analyze_run(run)
+        with pytest.raises(TraceSchemaError, match=match):
+            profile_run(run)
+
+    def test_non_integer_arrivals_rejected_by_profile(self):
+        run = parse_jsonl([span_line(attrs={"arrivals": 1.5e400})])
+        with pytest.raises(TraceSchemaError, match="attr 'arrivals'"):
+            profile_run(run)
+
+
+#: Span and event names the analysis treats specially, so random
+#: records reach every attribute it reads.
+_NAMES = st.sampled_from(["serve.run", "serve.batch", "serve.plan",
+                          "serve.dispatch", "fault.transient",
+                          "retry.backoff", "fault.straggler", "k"])
+_KEYS = st.sampled_from(["batch", "fill", "hit", "implementation", "role",
+                         "retry_cost_s", "backoff_s", "slowdown",
+                         "arrivals", "x"])
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                 | st.floats(allow_nan=True, allow_infinity=True)
+                 | st.text(max_size=4))
+_JSON = st.recursive(_JSON_SCALARS,
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=3), inner,
+                                       max_size=3),
+                     max_leaves=6)
+
+
+def _mostly(good, bad=_JSON, odds=30):
+    """``good``, except one draw in ``odds`` comes from ``bad``."""
+    return st.integers(1, odds).flatmap(lambda i: bad if i == 1 else good)
+
+
+_ATTR_VALUES = _mostly(st.floats(0.0, 10.0) | st.integers(0, 8)
+                       | st.booleans() | st.sampled_from(["cudnn", "GEMM"]),
+                       odds=10)
+_ATTRS = _mostly(st.dictionaries(_KEYS, _ATTR_VALUES, max_size=4))
+_TIME = _mostly(st.floats(0.0, 1.0) | st.integers(0, 2))
+
+
+@st.composite
+def _record(draw, index):
+    """One JSONL line; record ``index`` is well formed (a span with sid
+    ``index``, a child of an earlier span, or an event on one) unless
+    one of its fields draws from the malformed side."""
+    ids = st.integers(1, index)
+    kind = draw(_mostly(st.sampled_from(["span"] * 4 + ["event"]),
+                        st.sampled_from(["header", "other", "text"])))
+    if kind == "span":
+        rec = {"type": "span", "sid": draw(_mostly(st.just(index), ids)),
+               "parent": draw(st.none() | _mostly(ids)),
+               "name": draw(_NAMES),
+               "cat": draw(_mostly(st.sampled_from(["serve", "gpu"]))),
+               "start_s": draw(_TIME), "end_s": draw(_TIME),
+               "attrs": draw(_ATTRS)}
+    elif kind == "event":
+        rec = {"type": "event", "span": draw(st.none() | _mostly(ids)),
+               "name": draw(_mostly(_NAMES, odds=5)), "t_s": draw(_TIME),
+               "attrs": draw(_ATTRS)}
+    elif kind == "header":
+        rec = {"type": "header",
+               "schema_version": draw(_mostly(st.just(1), odds=2))}
+    elif kind == "other":
+        rec = draw(_JSON)
+    else:
+        return draw(st.text(max_size=8))
+    if isinstance(rec, dict) and rec and draw(st.integers(1, 30)) == 1:
+        del rec[draw(st.sampled_from(sorted(rec)))]
+    return json.dumps(rec)
+
+
+@st.composite
+def _lines(draw):
+    return [draw(_record(i)) for i in range(1, draw(st.integers(0, 8)) + 1)]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_lines())
+def test_any_lines_load_and_analyse_or_raise_schema_error(lines):
+    """Whatever the lines hold, the loader and both analyses either
+    succeed or raise TraceSchemaError — never another exception."""
+    try:
+        run = parse_jsonl(lines)
+        doc = analyze_run(run).to_dict()
+        profile_run(run)
+    except TraceSchemaError:
+        return
+    assert doc["span_count"] == run.span_count()
+    json.dumps(doc)
 
 
 class TestCriticalPath:
@@ -238,3 +404,44 @@ class TestAnalyzeRun:
         assert "critical path" in text
         assert "span aggregates" in text
         assert "Fig. 4 view" in text
+
+
+class TestLiveVsReloaded:
+    """The JSONL round trip is invisible to both analyses: a traced
+    fleet-chaos cluster's tracers analyse the same live and reloaded."""
+
+    @pytest.fixture(scope="class")
+    def fleet(self):
+        from repro.cluster import Cluster, ClusterConfig, HealthConfig
+        from repro.faults import named_fleet_plan
+
+        reset_cache()
+        cluster = Cluster(ClusterConfig(
+            replicas=3, policy="p2c", seed=7,
+            health=HealthConfig(hedge_after_s=0.02),
+            fleet_fault_plan=named_fleet_plan("fleet-chaos", duration_s=0.5,
+                                              replicas=3)))
+        cluster.enable_tracing()
+        cluster.run(generate_trace(TrafficSpec(duration_s=0.5,
+                                               rate_rps=2500.0, seed=7)))
+        return [("fleet", cluster.obs.tracer)] + cluster.replica_tracers
+
+    def test_fleet_has_faults_and_replicas(self, fleet):
+        assert len(fleet) > 3              # a restart adds a replica
+        events = {}
+        for _, tracer in fleet:
+            for name, count in fault_census(from_tracer(tracer))[0].items():
+                events[name] = events.get(name, 0) + count
+        assert any(name.startswith("fault.") for name in events), events
+
+    def test_analysis_and_profile_survive_reload(self, fleet):
+        for name, tracer in fleet:
+            live = from_tracer(tracer)
+            reloaded = parse_jsonl(jsonl_lines(tracer))
+            assert live.source != reloaded.source
+            a, b = analyze_run(live).to_dict(), analyze_run(reloaded).to_dict()
+            assert a.pop("source") == "<tracer>"
+            assert b.pop("source") == "<memory>"
+            assert a == b, name
+            assert profile_run(live) == replace(profile_run(reloaded),
+                                                source=live.source), name

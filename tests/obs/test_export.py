@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.gpusim.stream import Timeline
 from repro.gpusim.timing import SimClock
@@ -166,6 +168,91 @@ class TestJsonl:
         n = write_jsonl(str(path), traced)
         assert n == 5                      # header + 3 spans + 1 event
         assert len(path.read_text().splitlines()) == 5
+
+
+#: Attribute values of every JSON kind the exporter meets, with the
+#: awkward cases: non-ASCII, quotes and control characters in strings,
+#: nan / ±inf / -0.0 floats, nesting.
+_SCALARS = (st.text(max_size=6)
+            | st.sampled_from(["", "\"q\"", "back\\slash", "\x00\x1f\n",
+                               "\u00e9\u4e2d\U0001f600", "\ud800"])
+            | st.integers() | st.booleans() | st.none()
+            | st.floats(allow_nan=True, allow_infinity=True)
+            | st.sampled_from([float("nan"), float("inf"), float("-inf"),
+                               -0.0, 0.0, 1e-310, 1.7976931348623157e308]))
+_VALUES = st.recursive(_SCALARS,
+                       lambda inner: st.lists(inner, max_size=3)
+                       | st.dictionaries(st.text(max_size=3), inner,
+                                         max_size=3),
+                       max_leaves=8)
+#: Attribute keys, minus the tracer methods' own parameter names.
+_KEYS = st.text(max_size=5).filter(
+    lambda k: k not in ("name", "cat", "start_s", "end_s"))
+_ATTRS = st.dictionaries(_KEYS, _VALUES, max_size=4)
+_NAMES = st.text(max_size=6) | st.sampled_from(["serve.batch", "sgemm"])
+_EVENTS = st.lists(st.tuples(_NAMES, _ATTRS), max_size=2)
+_TREES = st.recursive(
+    st.tuples(_NAMES, _NAMES, _ATTRS, _EVENTS, st.just([])),
+    lambda inner: st.tuples(_NAMES, _NAMES, _ATTRS, _EVENTS,
+                            st.lists(inner, max_size=3)),
+    max_leaves=6)
+_TIMES = st.floats(-1e6, 1e6) | st.sampled_from([-0.0, 0.0, 1e-300])
+
+
+def _reference_lines(tracer):
+    """The exporter's output, spelled as one ``json.dumps(record,
+    sort_keys=True)`` per record over a recursive walk."""
+    lines = [json.dumps({"type": "header", "format": "repro-trace",
+                         "schema_version": 1}, sort_keys=True)]
+
+    def visit(span):
+        lines.append(json.dumps(
+            {"type": "span", "sid": span.sid, "parent": span.parent_sid,
+             "name": span.name, "cat": span.cat, "start_s": span.start_s,
+             "end_s": span.end_s, "attrs": dict(span.attrs)},
+            sort_keys=True))
+        for ev in span.events:
+            lines.append(json.dumps(
+                {"type": "event", "span": span.sid, "name": ev.name,
+                 "t_s": ev.t_s, "attrs": dict(ev.attrs)}, sort_keys=True))
+        for child in span.children:
+            visit(child)
+
+    for root in tracer.roots:
+        visit(root)
+    for ev in tracer.orphan_events:
+        lines.append(json.dumps(
+            {"type": "event", "span": None, "name": ev.name,
+             "t_s": ev.t_s, "attrs": dict(ev.attrs)}, sort_keys=True))
+    return lines
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(trees=st.lists(_TREES, max_size=3), leaf=st.tuples(_TIMES, _TIMES),
+       orphans=_EVENTS, first_sid=st.integers(1, 2 ** 40))
+def test_jsonl_lines_match_json_dumps(trees, leaf, orphans, first_sid):
+    """Every exported line equals ``json.dumps(record, sort_keys=True)``
+    of its record, whatever the names and attribute values hold."""
+    clock = SimClock()
+    tracer = SimTracer(clock, first_sid=first_sid)
+
+    def build(node):
+        name, cat, attrs, events, children = node
+        with tracer.span(name, cat=cat, **attrs) as sp:
+            for ev_name, ev_attrs in events:
+                sp.event(ev_name, **ev_attrs)
+            clock.advance(0.001)
+            for child in children:
+                build(child)
+            start, end = sorted(leaf)
+            tracer.add_span(name, cat, start, end, **attrs)
+
+    for name, attrs in orphans:
+        tracer.event(name, **attrs)
+    for tree in trees:
+        build(tree)
+    assert jsonl_lines(tracer) == _reference_lines(tracer)
 
 
 class TestMetricsSnapshotRoundTrip:

@@ -222,6 +222,22 @@ class TestExports:
         with pytest.raises(TraceSchemaError, match="JSONL"):
             load_window_log(str(garbage))
 
+    @pytest.mark.parametrize("text, match", [
+        ("[1, 2]\n", r"windows\.jsonl:1: header record is not a JSON object"),
+        ("\n42\n", r"windows\.jsonl:2: header record is not a JSON object"),
+        ('{"format": "repro-telemetry", "schema_version": 1}\n"str"\n',
+         r"windows\.jsonl:2: window record is not a JSON object"),
+        ('{"format": "repro-telemetry", "schema_version": 1}\n\n[]\n',
+         r"windows\.jsonl:3: window record is not a JSON object"),
+        ('{"format": "repro-telemetry", "schema_version": 1}\n{nope\n',
+         r"windows\.jsonl:2: not valid JSONL"),
+    ])
+    def test_load_rejects_non_object_records(self, tmp_path, text, match):
+        path = tmp_path / "windows.jsonl"
+        path.write_text(text)
+        with pytest.raises(TraceSchemaError, match=match):
+            load_window_log(str(path))
+
     def test_openmetrics_render(self):
         text = render_openmetrics(self.build())
         assert text.endswith("# EOF\n")
