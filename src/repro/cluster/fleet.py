@@ -55,7 +55,7 @@ from ..obs.timeseries import TelemetryConfig
 from ..obs.tracer import SimTracer
 from ..rng import DEFAULT_SEED
 from ..serve.loadgen import Arrival
-from ..serve.request import Request, fast_request
+from ..serve.request import Request
 from ..serve.scheduler import ServerConfig
 from .autoscaler import AutoscalePolicy, Autoscaler
 from .health import HealthConfig, HealthPlane
@@ -430,9 +430,9 @@ class Cluster:
                 target.admit(request)
 
     def _route_arrival(self, arrival: Arrival, now_s: float) -> None:
-        request = fast_request(arrival.rid, arrival.model, arrival.layer,
-                               arrival.key, arrival.t_s,
-                               self.config.server.timeout_s)
+        request = Request(arrival.rid, arrival.model, arrival.layer,
+                          arrival.key, arrival.t_s,
+                          self.config.server.timeout_s)
         self._win_offered.append(arrival.t_s)
         if self.health is not None:
             self.health.budget.on_offer(arrival.model)

@@ -19,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from ..serve.stats import StatsReport, merge_shed_causes
+from ..errors import ReportSchemaError
+from ..serve.stats import (StatsReport, doc_count, doc_counts, doc_numbers,
+                           doc_object, doc_real, merge_shed_causes)
 
 
 def _sorted_doc(doc: Optional[dict]) -> Optional[dict]:
@@ -72,20 +74,26 @@ class ReplicaSummary:
         return doc
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "ReplicaSummary":
+    def from_dict(cls, doc: dict, where: str = "ReplicaSummary"
+                  ) -> "ReplicaSummary":
         """Rebuild from :meth:`to_dict` output, tolerating documents
-        written before ``slot``/``incarnation`` existed."""
-        index = int(doc.get("index", 0))
+        written before ``slot``/``incarnation`` existed; malformed ones
+        raise :class:`~repro.errors.ReportSchemaError`."""
+        doc = doc_object(doc, "document", where)
+        index = doc_count(doc, "index", where)
+        retired_s = doc.get("retired_s")
         return cls(
             index=index,
             name=doc.get("name", f"replica{index}"),
-            started_s=float(doc.get("started_s", 0.0)),
-            retired_s=doc.get("retired_s"),
+            started_s=float(doc_real(doc, "started_s", where)),
+            retired_s=(None if retired_s is None
+                       else doc_real(doc, "retired_s", where)),
             outcome=doc.get("outcome", "ran"),
-            routed=int(doc.get("routed", 0)),
-            report=StatsReport.from_dict(doc.get("report", {})),
-            slot=int(doc.get("slot", index)),
-            incarnation=int(doc.get("incarnation", 0)),
+            routed=doc_count(doc, "routed", where),
+            report=StatsReport.from_dict(doc.get("report", {}),
+                                         f"{where}: report"),
+            slot=doc_count(doc, "slot", where, default=index),
+            incarnation=doc_count(doc, "incarnation", where),
             device=doc.get("device"),
         )
 
@@ -197,37 +205,57 @@ class ClusterReport:
         reports archived before the health plane (no ``shed_by_cause``
         / ``health`` / ``slot`` keys) load cleanly, and unknown shed
         causes are carried verbatim rather than validated against a
-        closed taxonomy.
+        closed taxonomy.  A document or section that is not an object,
+        or a counter that is not a number, raises
+        :class:`~repro.errors.ReportSchemaError` naming it.
         """
-        latency = doc.get("latency_ms", {})
-        autoscaler = doc.get("autoscaler", {})
-        slo = doc.get("slo", {})
+        where = "ClusterReport"
+        doc = doc_object(doc, "document", where)
+        latency = doc_object(doc.get("latency_ms", {}), "latency_ms", where)
+        autoscaler = doc_object(doc.get("autoscaler", {}), "autoscaler",
+                                where)
+        slo = doc_object(doc.get("slo", {}), "slo", where)
+        replicas = doc.get("replicas", [])
+        actions = autoscaler.get("actions", [])
+        for name, value in (("replicas", replicas),
+                            ("autoscaler.actions", actions)):
+            if not isinstance(value, (list, tuple)):
+                raise ReportSchemaError(f"{where}: {name} must be a JSON "
+                                        f"array, got {type(value).__name__}")
+        for name in ("health", "telemetry"):
+            if doc.get(name) is not None:
+                doc_object(doc[name], name, where)
         return cls(
             policy=doc.get("policy", "round-robin"),
-            duration_s=float(doc.get("duration_s", 0.0)),
-            offered=int(doc.get("offered", 0)),
-            completed=int(doc.get("completed", 0)),
-            requeued=int(doc.get("requeued", 0)),
-            no_replica_shed=int(doc.get("no_replica_shed", 0)),
-            throughput_rps=float(doc.get("throughput_rps", 0.0)),
-            latency_p50_ms=float(latency.get("p50", 0.0)),
-            latency_p95_ms=float(latency.get("p95", 0.0)),
-            latency_p99_ms=float(latency.get("p99", 0.0)),
-            replicas_started=int(doc.get("replicas_started", 0)),
-            replicas_peak=int(doc.get("replicas_peak", 0)),
-            replicas_final=int(doc.get("replicas_final", 0)),
-            scale_ups=int(autoscaler.get("scale_ups", 0)),
-            drains=int(autoscaler.get("drains", 0)),
-            kills=int(doc.get("kills", 0)),
-            slo_violations=int(slo.get("violations", 0)),
-            slo_recoveries=int(slo.get("recoveries", 0)),
+            duration_s=float(doc_real(doc, "duration_s", where)),
+            offered=doc_count(doc, "offered", where),
+            completed=doc_count(doc, "completed", where),
+            requeued=doc_count(doc, "requeued", where),
+            no_replica_shed=doc_count(doc, "no_replica_shed", where),
+            throughput_rps=float(doc_real(doc, "throughput_rps", where)),
+            latency_p50_ms=float(doc_real(latency, "p50",
+                                          f"{where}: latency_ms")),
+            latency_p95_ms=float(doc_real(latency, "p95",
+                                          f"{where}: latency_ms")),
+            latency_p99_ms=float(doc_real(latency, "p99",
+                                          f"{where}: latency_ms")),
+            replicas_started=doc_count(doc, "replicas_started", where),
+            replicas_peak=doc_count(doc, "replicas_peak", where),
+            replicas_final=doc_count(doc, "replicas_final", where),
+            scale_ups=doc_count(autoscaler, "scale_ups",
+                                f"{where}: autoscaler"),
+            drains=doc_count(autoscaler, "drains", f"{where}: autoscaler"),
+            kills=doc_count(doc, "kills", where),
+            slo_violations=doc_count(slo, "violations", f"{where}: slo"),
+            slo_recoveries=doc_count(slo, "recoveries", f"{where}: slo"),
             slo_in_violation=slo.get("in_violation"),
-            plan_cache=dict(doc.get("plan_cache", {})),
-            replicas=tuple(ReplicaSummary.from_dict(r)
-                           for r in doc.get("replicas", ())),
-            autoscale_actions=tuple(autoscaler.get("actions", ())),
-            shed_by_cause={str(k): int(v)
-                           for k, v in doc.get("shed_by_cause", {}).items()},
+            plan_cache=doc_numbers(doc.get("plan_cache", {}), "plan_cache",
+                                   where),
+            replicas=tuple(ReplicaSummary.from_dict(
+                r, f"{where}: replicas[{i}]") for i, r in enumerate(replicas)),
+            autoscale_actions=tuple(actions),
+            shed_by_cause=doc_counts(doc.get("shed_by_cause", {}),
+                                     "shed_by_cause", where),
             health=doc.get("health"),
             telemetry=doc.get("telemetry"),
         )

@@ -117,3 +117,9 @@ class TraceSchemaError(ReproError, ValueError):
     """A saved observability artifact (JSONL event log, metrics
     snapshot) could not be loaded: unknown schema version, malformed
     records, or dangling span references."""
+
+
+class ReportSchemaError(ReproError, ValueError):
+    """A saved serving or cluster report document could not be rebuilt:
+    the document or one of its sections is not a JSON object, or a
+    counter is not a number."""

@@ -304,6 +304,16 @@ def parse_jsonl(lines: Iterable[str], source: str = "<memory>") -> TraceRun:
             parent.children.append(node)
         else:
             roots.append(node)
+    # Spans whose parent links form a cycle are neither roots nor
+    # reachable from one; a forest that silently lost them would
+    # analyse as a smaller run.
+    forest = TraceRun(roots, [])
+    if forest.span_count() != len(order):
+        reachable = {span.sid for span in forest.walk()}
+        lost = [node.sid for node in order if node.sid not in reachable]
+        raise TraceSchemaError(
+            f"{source}: spans {lost} are unreachable from any root "
+            f"(their parent links form a cycle)")
     for lineno, sid, ev in pending_events:
         span = nodes.get(sid)
         if span is None:

@@ -374,12 +374,57 @@ def write_window_log(path: str, rollups: Rollups) -> int:
     return len(lines)
 
 
+def _check_window(doc: dict, where: str) -> None:
+    """Type-check every window-record field the dashboard reads:
+    ``index``, ``start_s`` and ``end_s`` are required, the rest may be
+    absent.  Raises :class:`~repro.errors.TraceSchemaError` naming the
+    line and the field."""
+    from ..errors import TraceSchemaError
+    from .analyze import _field_error, _is_real
+
+    def check(ok: bool, field: str, want: str, value) -> None:
+        if not ok:
+            raise _field_error(where, "window record", field, want, value)
+
+    def number(value, field: str) -> None:
+        check(_is_real(value), field, "a number", value)
+
+    def obj(value, field: str) -> dict:
+        check(type(value) is dict, field, "an object", value)
+        return value
+
+    for field in ("index", "start_s", "end_s"):
+        if field not in doc:
+            raise TraceSchemaError(
+                f"{where}: window record field {field!r} is missing")
+    check(type(doc["index"]) is int, "index", "an integer", doc["index"])
+    for field in ("start_s", "end_s", "completed", "qps"):
+        if field in doc:
+            number(doc[field], field)
+    for section in ("counters", "probes"):
+        for name, deltas in obj(doc.get(section, {}), section).items():
+            for series, value in obj(deltas, f"{section}.{name}").items():
+                number(value, f"{section}.{name}.{series}")
+    for dim, table in obj(doc.get("latency", {}), "latency").items():
+        for key, summary in obj(table, f"latency.{dim}").items():
+            summary = obj(summary, f"latency.{dim}.{key}")
+            for stat in ("count", "p50", "p99"):
+                number(summary.get(stat), f"latency.{dim}.{key}.{stat}")
+    alerts = doc.get("alerts")
+    check(alerts is None or (type(alerts) is list and all(
+        type(name) is str for name in alerts)),
+        "alerts", "a list of strings or null", alerts)
+    obj(doc.get("state", {}), "state")
+
+
 def load_window_log(path: str) -> Tuple[dict, List[dict]]:
     """Load ``(header, windows)`` from a window log written by
-    :func:`write_window_log`; refuses foreign or future formats."""
+    :func:`write_window_log`; refuses foreign or future formats and
+    window records whose fields the dashboard could not read."""
     from ..errors import TraceSchemaError
+    from .analyze import _field_error, _is_real
 
-    docs: List[dict] = []
+    docs: List[Tuple[int, dict]] = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -395,10 +440,10 @@ def load_window_log(path: str) -> Tuple[dict, List[dict]]:
                 raise TraceSchemaError(
                     f"{path}:{lineno}: {what} record is not a JSON object: "
                     f"{doc!r}")
-            docs.append(doc)
+            docs.append((lineno, doc))
     if not docs:
         raise TraceSchemaError(f"{path}: empty window log")
-    header = docs.pop(0)
+    lineno, header = docs.pop(0)
     if header.get("format") != WINDOW_LOG_FORMAT:
         raise TraceSchemaError(
             f"{path}: not a telemetry window log "
@@ -407,7 +452,16 @@ def load_window_log(path: str) -> Tuple[dict, List[dict]]:
     if version != TELEMETRY_SCHEMA_VERSION:
         raise TraceSchemaError(
             f"{path}: unsupported window-log schema_version {version!r}")
-    return header, [d for d in docs if d.get("type") == "window"]
+    window_s = header.get("window_s")
+    if window_s is not None and not _is_real(window_s):
+        raise _field_error(f"{path}:{lineno}", "header record", "window_s",
+                           "a number or null", window_s)
+    windows = []
+    for lineno, doc in docs:
+        if doc.get("type") == "window":
+            _check_window(doc, f"{path}:{lineno}")
+            windows.append(doc)
+    return header, windows
 
 
 def _inject_label(series: str, key: str, value: str) -> str:

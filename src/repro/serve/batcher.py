@@ -21,7 +21,7 @@ lets the plan cache reach steady-state hit rates above 90 %.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .queue import AdmissionQueue
 from .request import Request, ShapeKey, batched_config
@@ -62,9 +62,10 @@ class BatchPolicy:
         return max(fill, min(next_pow2(fill), limit))
 
 
-@dataclass(frozen=True)
-class Batch:
-    """A released batch: the requests plus the execution batch size."""
+class Batch(NamedTuple):
+    """A released batch: the requests plus the execution batch size
+    (a :class:`~typing.NamedTuple`, like
+    :class:`~repro.serve.request.Request`)."""
 
     requests: Tuple[Request, ...]
     key: ShapeKey
@@ -119,11 +120,7 @@ class DynamicBatcher:
             padded = self._padded_cache[fill] = self.policy.padded(fill)
         self.released += 1
         self.padded_slots += padded - fill
-        batch = Batch.__new__(Batch)
-        # Frozen-dataclass fast construction (see request.fast_request).
-        batch.__dict__.update(requests=tuple(requests), key=key,
-                              batch=padded)
-        return batch
+        return Batch(tuple(requests), key, padded)
 
     def release_at(self, queue: AdmissionQueue) -> Optional[float]:
         """Earliest future time at which the max-wait guard will

@@ -21,7 +21,7 @@ small-kernel 3x3 layers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from ..config import ConvConfig
 from ..rng import DEFAULT_SEED, make_rng
@@ -76,9 +76,10 @@ MODEL_SHAPES: Dict[str, List[Tuple[str, ConvConfig]]] = {
 }
 
 
-@dataclass(frozen=True)
-class Arrival:
-    """One traced request arrival."""
+class Arrival(NamedTuple):
+    """One traced request arrival (a :class:`~typing.NamedTuple`, like
+    :class:`~repro.serve.request.Request`: ``==`` and ``hash`` are
+    those of the field tuple)."""
 
     rid: int
     t_s: float
@@ -124,20 +125,35 @@ def _instant_rate(spec: TrafficSpec, t_s: float) -> float:
 
 
 def generate_trace(spec: TrafficSpec = TrafficSpec()) -> List[Arrival]:
-    """Materialise the arrival trace for ``spec`` (sorted by time)."""
+    """Materialise the arrival trace for ``spec`` (sorted by time).
+
+    Each arrival draws, in this order, its exponential gap, its model
+    and its layer from one generator, so a trace is a pure function of
+    the spec.  The generator's methods, the per-model ``(layer, shape
+    key)`` lists and the Poisson mean gap are bound once per trace.
+    """
     rng = make_rng(spec.seed)
+    exponential = rng.exponential
+    integers = rng.integers
+    mix = [(model, [(layer, shape_key(config))
+                    for layer, config in MODEL_SHAPES[model]])
+           for model in spec.models]
+    n_models = len(mix)
+    poisson = spec.pattern == "poisson"
+    mean_gap_s = 1.0 / spec.rate_rps
+    duration_s = spec.duration_s
     arrivals: List[Arrival] = []
+    append = arrivals.append
     t = 0.0
     rid = 0
     while True:
-        t += rng.exponential(1.0 / _instant_rate(spec, t))
-        if t >= spec.duration_s:
+        t += exponential(mean_gap_s if poisson
+                         else 1.0 / _instant_rate(spec, t))
+        if t >= duration_s:
             break
-        model = spec.models[int(rng.integers(len(spec.models)))]
-        layers = MODEL_SHAPES[model]
-        layer, config = layers[int(rng.integers(len(layers)))]
-        arrivals.append(Arrival(rid=rid, t_s=t, model=model, layer=layer,
-                                key=shape_key(config)))
+        model, layers = mix[integers(n_models)]
+        layer, key = layers[integers(len(layers))]
+        append(Arrival(rid, t, model, layer, key))
         rid += 1
     return arrivals
 

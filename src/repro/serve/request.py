@@ -10,9 +10,8 @@ they can ride in the same batch, and a server's plan cache keys on
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from ..config import ConvConfig
 
@@ -41,9 +40,14 @@ def batched_config(key: ShapeKey, batch: int) -> ConvConfig:
                       stride=s, channels=c, padding=p)
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
     """One single-sample inference request.
+
+    A :class:`~typing.NamedTuple`: the serving loop builds one per
+    admission, and a tuple is built by one ``tuple.__new__`` call and
+    stored in 88 B, where a frozen dataclass pays one
+    ``object.__setattr__`` per field and takes over 300 B with its
+    attribute dict.  ``==`` and ``hash`` are those of the field tuple.
 
     Attributes
     ----------
@@ -78,9 +82,9 @@ class Request:
         return batched_config(self.key, batch)
 
 
-@dataclass(frozen=True)
-class Completion:
-    """Record of one served request."""
+class Completion(NamedTuple):
+    """Record of one served request (a :class:`~typing.NamedTuple`, like
+    :class:`Request`)."""
 
     request: Request
     start_s: float
@@ -97,29 +101,3 @@ class Completion:
     @property
     def queue_wait_s(self) -> float:
         return self.start_s - self.request.arrival_s
-
-
-def fast_request(rid: int, model: str, layer: str, key: ShapeKey,
-                 arrival_s: float, timeout_s: float) -> Request:
-    """Hot-path :class:`Request` constructor.
-
-    A frozen dataclass pays one ``object.__setattr__`` per field; at
-    hundreds of thousands of admissions per run that is a measurable
-    slice of the event loop.  Building the instance dict directly is
-    equivalent (same fields, same eq/hash) at a fraction of the cost.
-    """
-    r = Request.__new__(Request)
-    # update() bypasses the frozen __setattr__ without per-field calls.
-    r.__dict__.update(rid=rid, model=model, layer=layer, key=key,
-                      arrival_s=arrival_s, timeout_s=timeout_s)
-    return r
-
-
-def fast_completion(request: Request, start_s: float, finish_s: float,
-                    batch: int, fill: int, implementation: str) -> Completion:
-    """Hot-path :class:`Completion` constructor (see
-    :func:`fast_request`)."""
-    c = Completion.__new__(Completion)
-    c.__dict__.update(request=request, start_s=start_s, finish_s=finish_s,
-                      batch=batch, fill=fill, implementation=implementation)
-    return c

@@ -75,7 +75,7 @@ from .batcher import BatchPolicy, DynamicBatcher
 from .loadgen import Arrival
 from .plan_cache import DispatchMemo, PlanCache, _MISSING
 from .queue import AdmissionQueue
-from .request import Request, ShapeKey, batched_config, fast_request
+from .request import Request, ShapeKey, batched_config
 from .resilience import CircuitBreaker, ResilienceConfig
 from .stats import ServingStats, StatsReport
 
@@ -635,7 +635,7 @@ class Server:
                     j = i
                     while j < n and pending[j].t_s <= now:
                         a = pending[j]
-                        admitted = offer(fast_request(
+                        admitted = offer(Request(
                             a.rid, a.model, a.layer, a.key, a.t_s,
                             timeout_s))
                         if tracer.enabled:

@@ -21,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..errors import ReportSchemaError
 from ..obs.hist import percentile
 from ..obs.metrics import MetricsRegistry
-from .request import Completion, fast_completion
+from .request import Completion
 
 #: Scalar attribute -> the registry counter backing it.
 _COUNTERS = {
@@ -64,6 +65,61 @@ SHED_CAUSES = (
     "hedge_cancelled",          # losing copy of a hedged request
     "retry_budget_exhausted",   # retry/requeue denied by the tenant budget
 )
+
+
+#: The counters of a report's ``resilience`` section, all defaulting
+#: to 0 when absent.
+_RESILIENCE_FIELDS = (
+    "retries", "fallback_batches", "fallback_completions", "breaker_trips",
+    "breaker_skips", "faults_injected", "pressure_events",
+    "degraded_batches", "cache_corruptions", "unhandled_errors",
+    "closed_shed")
+
+
+# -- loading saved report documents ------------------------------------------
+
+def doc_object(value, name: str, where: str) -> dict:
+    """``value`` when it is a JSON object; a typed error naming the
+    section otherwise."""
+    if type(value) is not dict:
+        raise ReportSchemaError(f"{where}: {name} must be a JSON object, "
+                                f"got {type(value).__name__}")
+    return value
+
+
+def doc_real(section: dict, key: str, where: str, default: float = 0.0):
+    """``section[key]`` (``default`` when absent) as stored; a typed
+    error when it is not a number."""
+    value = section.get(key, default)
+    if type(value) is not int and type(value) is not float:  # nor bool
+        raise ReportSchemaError(f"{where}: field {key!r} must be a number, "
+                                f"got {value!r}")
+    return value
+
+
+def doc_count(section: dict, key: str, where: str, default: int = 0) -> int:
+    """``section[key]`` (``default`` when absent) as an ``int``; a typed
+    error unless it is an integral number."""
+    value = section.get(key, default)
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ReportSchemaError(f"{where}: field {key!r} must be an integer, "
+                            f"got {value!r}")
+
+
+def doc_numbers(value, name: str, where: str) -> dict:
+    """A copy of an object section whose every value is a number."""
+    section = doc_object(value, name, where)
+    for key in section:
+        doc_real(section, key, f"{where}: {name}")
+    return dict(section)
+
+
+def doc_counts(value, name: str, where: str) -> Dict[str, int]:
+    """An object section of integer counters, keys as strings."""
+    section = doc_object(value, name, where)
+    return {str(key): doc_count(section, key, f"{where}: {name}")
+            for key in section}
 
 
 @dataclass(frozen=True)
@@ -200,23 +256,13 @@ class StatsReport:
             "peak_memory_mb": self.peak_memory_mb,
             "implementations": dict(sorted(self.implementations.items())),
             "shed_by_cause": dict(sorted(self.shed_by_cause.items())),
-            "resilience": {
-                "retries": self.retries,
-                "fallback_batches": self.fallback_batches,
-                "fallback_completions": self.fallback_completions,
-                "breaker_trips": self.breaker_trips,
-                "breaker_skips": self.breaker_skips,
-                "faults_injected": self.faults_injected,
-                "pressure_events": self.pressure_events,
-                "degraded_batches": self.degraded_batches,
-                "cache_corruptions": self.cache_corruptions,
-                "unhandled_errors": self.unhandled_errors,
-                "closed_shed": self.closed_shed,
-            },
+            "resilience": {name: getattr(self, name)
+                           for name in _RESILIENCE_FIELDS},
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "StatsReport":
+    def from_dict(cls, doc: dict, where: str = "StatsReport"
+                  ) -> "StatsReport":
         """Rebuild a report from its :meth:`to_dict` form.
 
         Deliberately tolerant: reports archived by older code may lack
@@ -225,41 +271,48 @@ class StatsReport:
         version has never heard of — missing fields default, unknown
         shed causes are kept verbatim, and unknown keys are ignored
         instead of KeyError-ing, so old JSON artifacts keep loading.
+        A document or section that is not an object, or a counter that
+        is not a number, raises :class:`~repro.errors.ReportSchemaError`
+        naming it (``where`` prefixes the message).
         """
-        latency = doc.get("latency_ms", {})
-        resilience = doc.get("resilience", {})
+        doc = doc_object(doc, "document", where)
+        latency = doc_object(doc.get("latency_ms", {}), "latency_ms", where)
+        resilience = doc_object(doc.get("resilience", {}), "resilience",
+                                where)
+        histogram = {}
+        for size, n in doc_counts(doc.get("batch_histogram", {}),
+                                  "batch_histogram", where).items():
+            try:
+                histogram[int(size)] = n
+            except ValueError:
+                raise ReportSchemaError(
+                    f"{where}: batch_histogram key {size!r} is not a "
+                    f"batch size") from None
+        counters = {name: doc_count(resilience, name, f"{where}: resilience")
+                    for name in _RESILIENCE_FIELDS}
         return cls(
-            duration_s=doc.get("duration_s", 0.0),
-            offered=doc.get("offered", 0),
-            completed=doc.get("completed", 0),
-            rejected=doc.get("rejected", 0),
-            shed=doc.get("shed", 0),
-            oom_splits=doc.get("oom_splits", 0),
-            oom_shed=doc.get("oom_shed", 0),
-            throughput_rps=doc.get("throughput_rps", 0.0),
-            latency_p50_ms=latency.get("p50", 0.0),
-            latency_p95_ms=latency.get("p95", 0.0),
-            latency_p99_ms=latency.get("p99", 0.0),
-            mean_batch_fill=doc.get("mean_batch_fill", 0.0),
-            mean_batch_size=doc.get("mean_batch_size", 0.0),
-            batch_histogram={int(k): v for k, v in
-                             doc.get("batch_histogram", {}).items()},
-            plan_cache=dict(doc.get("plan_cache", {})),
-            peak_memory_mb=doc.get("peak_memory_mb", 0.0),
-            implementations=dict(doc.get("implementations", {})),
-            shed_by_cause={str(cause): int(count) for cause, count in
-                           doc.get("shed_by_cause", {}).items()},
-            retries=resilience.get("retries", 0),
-            fallback_batches=resilience.get("fallback_batches", 0),
-            fallback_completions=resilience.get("fallback_completions", 0),
-            breaker_trips=resilience.get("breaker_trips", 0),
-            breaker_skips=resilience.get("breaker_skips", 0),
-            faults_injected=resilience.get("faults_injected", 0),
-            pressure_events=resilience.get("pressure_events", 0),
-            degraded_batches=resilience.get("degraded_batches", 0),
-            cache_corruptions=resilience.get("cache_corruptions", 0),
-            unhandled_errors=resilience.get("unhandled_errors", 0),
-            closed_shed=resilience.get("closed_shed", 0),
+            duration_s=doc_real(doc, "duration_s", where),
+            offered=doc_count(doc, "offered", where),
+            completed=doc_count(doc, "completed", where),
+            rejected=doc_count(doc, "rejected", where),
+            shed=doc_count(doc, "shed", where),
+            oom_splits=doc_count(doc, "oom_splits", where),
+            oom_shed=doc_count(doc, "oom_shed", where),
+            throughput_rps=doc_real(doc, "throughput_rps", where),
+            latency_p50_ms=doc_real(latency, "p50", f"{where}: latency_ms"),
+            latency_p95_ms=doc_real(latency, "p95", f"{where}: latency_ms"),
+            latency_p99_ms=doc_real(latency, "p99", f"{where}: latency_ms"),
+            mean_batch_fill=doc_real(doc, "mean_batch_fill", where),
+            mean_batch_size=doc_real(doc, "mean_batch_size", where),
+            batch_histogram=histogram,
+            plan_cache=doc_numbers(doc.get("plan_cache", {}), "plan_cache",
+                                   where),
+            peak_memory_mb=doc_real(doc, "peak_memory_mb", where),
+            implementations=doc_counts(doc.get("implementations", {}),
+                                       "implementations", where),
+            shed_by_cause=doc_counts(doc.get("shed_by_cause", {}),
+                                     "shed_by_cause", where),
+            **counters,
         )
 
 
@@ -378,7 +431,7 @@ class ServingStats:
         completions = self.completions
         if fill == 1:
             r = requests[0]
-            completions.append(fast_completion(
+            completions.append(Completion(
                 r, start_s, finish_s, padded, fill, implementation))
             arrival = r.arrival_s
             latency_hist.observe(finish_s - arrival)
@@ -387,7 +440,7 @@ class ServingStats:
             latencies = []
             waits = []
             for r in requests:
-                completions.append(fast_completion(
+                completions.append(Completion(
                     r, start_s, finish_s, padded, fill, implementation))
                 arrival = r.arrival_s
                 latencies.append(finish_s - arrival)

@@ -7,7 +7,8 @@ import pytest
 
 from repro.cluster import (Cluster, ClusterConfig, ClusterReport,
                            HealthConfig, RetryBudget, serve_cluster)
-from repro.cluster.report import aggregate_shed_causes
+from repro.cluster.report import ReplicaSummary, aggregate_shed_causes
+from repro.errors import ReportSchemaError, ReproError
 from repro.faults import (FLEET_PLAN_NAMES, FleetFaultPlan,
                           ReplicaCrashSpec, ReplicaDegradeSpec,
                           named_fleet_plan)
@@ -242,3 +243,54 @@ class TestReportBackCompat:
         loaded = ClusterReport.from_dict(doc)
         assert loaded.shed_by_cause["cosmic_rays"] == 3
         assert aggregate_shed_causes(loaded)["cosmic_rays"] == 3
+
+
+class TestReportTypedErrors:
+    """Malformed cluster report documents raise ReportSchemaError (a
+    ReproError) naming the section, at any depth."""
+
+    @pytest.fixture(scope="class")
+    def doc(self):
+        return json.loads(dumps(run(small_trace())))
+
+    @pytest.mark.parametrize("mutate, match", [
+        (lambda d: [], r"ClusterReport: document must be a JSON object"),
+        (lambda d: "x", r"ClusterReport: document must be a JSON object"),
+        (lambda d: {"offered": "x"},
+         r"ClusterReport: field 'offered' must be an integer, got 'x'"),
+        (lambda d: {**d, "duration_s": None},
+         r"field 'duration_s' must be a number"),
+        (lambda d: {**d, "latency_ms": 3},
+         r"latency_ms must be a JSON object"),
+        (lambda d: {**d, "autoscaler": {"scale_ups": "1"}},
+         r"autoscaler: field 'scale_ups' must be an integer"),
+        (lambda d: {**d, "autoscaler": {"actions": "none"}},
+         r"autoscaler\.actions must be a JSON array"),
+        (lambda d: {**d, "slo": []}, r"slo must be a JSON object"),
+        (lambda d: {**d, "health": "ok"}, r"health must be a JSON object"),
+        (lambda d: {**d, "replicas": {"0": {}}},
+         r"replicas must be a JSON array"),
+        (lambda d: {**d, "replicas": [[]]},
+         r"replicas\[0\]: document must be a JSON object"),
+        (lambda d: {**d, "replicas": [{**d["replicas"][0], "routed": "7"}]},
+         r"replicas\[0\]: field 'routed' must be an integer"),
+        (lambda d: {**d, "replicas": [{"retired_s": "later"}]},
+         r"replicas\[0\]: field 'retired_s' must be a number"),
+        (lambda d: {**d, "replicas": [{"report": []}]},
+         r"replicas\[0\]: report: document must be a JSON object"),
+        (lambda d: {**d, "replicas": [{"report": {"offered": "x"}}]},
+         r"replicas\[0\]: report: field 'offered' must be an integer"),
+    ])
+    def test_malformed_documents(self, doc, mutate, match):
+        with pytest.raises(ReportSchemaError, match=match) as info:
+            ClusterReport.from_dict(mutate(doc))
+        assert isinstance(info.value, ReproError)
+
+    def test_replica_summary_direct(self):
+        with pytest.raises(ReportSchemaError,
+                           match=r"ReplicaSummary: field 'index'"):
+            ReplicaSummary.from_dict({"index": "first"})
+        with pytest.raises(ReportSchemaError,
+                           match=r"ReplicaSummary: document must be"):
+            ReplicaSummary.from_dict(None)
+        assert ReplicaSummary.from_dict({}).name == "replica0"

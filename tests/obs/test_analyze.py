@@ -118,6 +118,28 @@ class TestLoading:
         assert run.schema_version == 1
         assert run.span_count() == 1
 
+    def test_parent_cycle_rejected(self):
+        """Spans 1 and 2 parent each other: neither is a root nor
+        reachable from root 3, so loading must fail, not drop them."""
+        lines = [span_line(sid=1, parent=2), span_line(sid=2, parent=1),
+                 span_line(sid=3, parent=None)]
+        with pytest.raises(TraceSchemaError,
+                           match=r"spans \[1, 2\] are unreachable"):
+            parse_jsonl(lines)
+
+    def test_self_parent_and_its_subtree_rejected(self):
+        lines = [span_line(sid=1, parent=None), span_line(sid=2, parent=2),
+                 span_line(sid=3, parent=2)]
+        with pytest.raises(TraceSchemaError,
+                           match=r"spans \[2, 3\] are unreachable"):
+            parse_jsonl(lines)
+
+    def test_dangling_parent_loads_as_root(self):
+        run = parse_jsonl([span_line(sid=1, parent=7),
+                           span_line(sid=2, parent=1)])
+        assert [s.sid for s in run.roots] == [1]
+        assert run.span_count() == 2
+
 
 def span_line(**fields):
     rec = {"type": "span", "sid": 1, "parent": None, "name": "a",
@@ -278,6 +300,8 @@ def test_any_lines_load_and_analyse_or_raise_schema_error(lines):
     except TraceSchemaError:
         return
     assert doc["span_count"] == run.span_count()
+    records = [json.loads(line) for line in lines if line.strip()]
+    assert run.span_count() == sum(r["type"] == "span" for r in records)
     json.dumps(doc)
 
 

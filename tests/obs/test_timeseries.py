@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.evalcache import reset_cache
 from repro.errors import TraceSchemaError
+from repro.obs.dashboard import render_dashboard_from_log
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import (TELEMETRY_SCHEMA_VERSION, Rollups,
                                   TelemetryConfig, _inject_label,
@@ -236,6 +237,88 @@ class TestExports:
         path = tmp_path / "windows.jsonl"
         path.write_text(text)
         with pytest.raises(TraceSchemaError, match=match):
+            load_window_log(str(path))
+
+    HEADER = json.dumps({"type": "header", "format": "repro-telemetry",
+                         "schema_version": TELEMETRY_SCHEMA_VERSION,
+                         "window_s": 0.5})
+    WINDOW = {"type": "window", "index": 0, "start_s": 0.0, "end_s": 0.5,
+              "completed": 1, "qps": 2.0,
+              "counters": {"server": {"serve_sheds_total": 4}},
+              "probes": {"plan_cache": {"hits": 3}},
+              "latency": {"tenant": {"AlexNet": {
+                  "count": 1, "p50": 0.01, "p95": 0.01, "p99": 0.01}}},
+              "alerts": ["p99"], "state": {"server": {"depth": 0}}}
+
+    def window_log(self, tmp_path, *records):
+        path = tmp_path / "windows.jsonl"
+        path.write_text("\n".join([self.HEADER] + [
+            r if isinstance(r, str) else json.dumps(r) for r in records])
+            + "\n")
+        return str(path)
+
+    def test_bare_window_record_rejected_before_the_dashboard(self,
+                                                              tmp_path):
+        path = self.window_log(tmp_path, {"type": "window"})
+        with pytest.raises(TraceSchemaError,
+                           match=r"windows\.jsonl:2: window record field "
+                                 r"'index' is missing"):
+            load_window_log(path)
+        with pytest.raises(TraceSchemaError, match="window record field"):
+            render_dashboard_from_log(path)
+
+    def test_well_formed_window_loads_and_renders(self, tmp_path):
+        path = self.window_log(tmp_path, self.WINDOW)
+        header, windows = load_window_log(path)
+        assert windows == [self.WINDOW]
+        assert "1 windows" in render_dashboard_from_log(path)
+
+    @pytest.mark.parametrize("change, match", [
+        ({"start_s": ...}, r"field 'start_s' is missing"),
+        ({"end_s": ...}, r"field 'end_s' is missing"),
+        ({"index": 1.0}, r"field 'index' must be an integer"),
+        ({"start_s": "0"}, r"field 'start_s' must be a number"),
+        ({"end_s": None}, r"field 'end_s' must be a number"),
+        ({"qps": True}, r"field 'qps' must be a number"),
+        ({"completed": "1"}, r"field 'completed' must be a number"),
+        ({"counters": []}, r"field 'counters' must be an object"),
+        ({"counters": {"server": 4}},
+         r"field 'counters\.server' must be an object"),
+        ({"counters": {"server": {"x": "4"}}},
+         r"field 'counters\.server\.x' must be a number"),
+        ({"probes": {"plan_cache": {"hits": None}}},
+         r"field 'probes\.plan_cache\.hits' must be a number"),
+        ({"latency": {"tenant": []}},
+         r"field 'latency\.tenant' must be an object"),
+        ({"latency": {"tenant": {"AlexNet": {"count": 1, "p50": 0.1}}}},
+         r"field 'latency\.tenant\.AlexNet\.p99' must be a number"),
+        ({"alerts": "p99"}, r"field 'alerts' must be a list of strings"),
+        ({"alerts": [1]}, r"field 'alerts' must be a list of strings"),
+        ({"state": "up"}, r"field 'state' must be an object"),
+    ])
+    def test_window_field_types_checked(self, tmp_path, change, match):
+        window = {k: v for k, v in {**self.WINDOW, **change}.items()
+                  if v is not ...}
+        path = self.window_log(tmp_path, self.WINDOW, window)
+        with pytest.raises(TraceSchemaError,
+                           match=r"windows\.jsonl:3: window record " + match):
+            load_window_log(path)
+
+    def test_optional_window_fields_may_be_absent(self, tmp_path):
+        window = {"type": "window", "index": 0, "start_s": 0.0,
+                  "end_s": 0.5, "alerts": None}
+        path = self.window_log(tmp_path, window)
+        assert load_window_log(path)[1] == [window]
+        assert "1 windows" in render_dashboard_from_log(path)
+
+    def test_header_window_s_checked(self, tmp_path):
+        path = tmp_path / "windows.jsonl"
+        path.write_text(json.dumps({"format": "repro-telemetry",
+                                    "schema_version": 1,
+                                    "window_s": "fast"}) + "\n")
+        with pytest.raises(TraceSchemaError,
+                           match=r"windows\.jsonl:1: header record field "
+                                 r"'window_s' must be a number"):
             load_window_log(str(path))
 
     def test_openmetrics_render(self):

@@ -20,7 +20,7 @@ from repro.serve import (Arrival, BatchPolicy, Server, ServerConfig,
                          TrafficSpec, generate_trace)
 from repro.serve.loadgen import MODEL_SHAPES
 from repro.serve.queue import AdmissionQueue
-from repro.serve.request import fast_request, shape_key
+from repro.serve.request import Request, shape_key
 
 KEY = shape_key(MODEL_SHAPES["AlexNet"][1][1])
 KEY2 = shape_key(MODEL_SHAPES["AlexNet"][0][1])
@@ -126,8 +126,8 @@ class TestMemoByteIdentity:
 
 class TestHeadHeap:
     def offer(self, queue, rid, key, arrival_s, timeout_s=10.0):
-        return queue.offer(fast_request(rid, "m", "l", key, arrival_s,
-                                        timeout_s))
+        return queue.offer(Request(rid, "m", "l", key, arrival_s,
+                                   timeout_s))
 
     def scan_oldest(self, queue):
         """The O(lanes) reference the heap replaced."""

@@ -3,9 +3,12 @@
 import pytest
 
 from repro.config import ConvConfig
+from repro.rng import make_rng
+from repro.serve.batcher import Batch
 from repro.serve.loadgen import (MODEL_SHAPES, Arrival, TrafficSpec,
-                                 generate_trace, trace_summary)
-from repro.serve.request import shape_key
+                                 _instant_rate, generate_trace,
+                                 trace_summary)
+from repro.serve.request import Completion, Request, shape_key
 
 
 class TestShapes:
@@ -97,3 +100,76 @@ class TestSummary:
         text = trace_summary(trace, spec)
         assert f"{len(trace)} arrivals" in text
         assert "AlexNet" in text and "seed 7" in text
+
+
+def reference_trace(spec):
+    """The generator loop as first written: every draw re-derives the
+    rate, the model's layer list and the shape key."""
+    rng = make_rng(spec.seed)
+    out = []
+    t = 0.0
+    while True:
+        t += rng.exponential(1.0 / _instant_rate(spec, t))
+        if t >= spec.duration_s:
+            break
+        model = spec.models[int(rng.integers(len(spec.models)))]
+        layers = MODEL_SHAPES[model]
+        layer, config = layers[int(rng.integers(len(layers)))]
+        out.append((len(out), t, model, layer, shape_key(config)))
+    return out
+
+
+class TestDifferential:
+    """The hoisted generator draws exactly what the reference loop
+    draws, in the same order."""
+
+    @pytest.mark.parametrize("pattern", ["poisson", "bursty"])
+    @pytest.mark.parametrize("seed", [1, 7, 20160816])
+    @pytest.mark.parametrize("models", [
+        ("AlexNet", "VGG", "GoogLeNet"), ("VGG",), ("GoogLeNet", "AlexNet"),
+        ("VGG", "VGG", "AlexNet")])
+    def test_matches_reference_loop(self, pattern, seed, models):
+        spec = TrafficSpec(duration_s=0.5, rate_rps=2000, pattern=pattern,
+                           seed=seed, models=models, burst_factor=3.0,
+                           burst_period_s=0.1)
+        trace = generate_trace(spec)
+        assert [tuple(a) for a in trace] == reference_trace(spec)
+        assert all(type(a) is Arrival for a in trace)
+
+
+class TestRecordTuples:
+    """Each serving record is a NamedTuple whose ``==`` and ``hash``
+    are those of its field tuple, as the frozen dataclasses' were."""
+
+    def records(self):
+        key = shape_key(MODEL_SHAPES["VGG"][1][1])
+        arrival = Arrival(3, 0.25, "VGG", "conv3_1", key)
+        request = Request(3, "VGG", "conv3_1", key, 0.25, 0.5)
+        completion = Completion(request, 0.5, 0.75, 8, 5, "cuDNN")
+        batch = Batch((request,), key, 1)
+        return [arrival, request, completion, batch]
+
+    def test_hash_and_eq_are_the_field_tuples(self):
+        for record, twin in zip(self.records(), self.records()):
+            fields = tuple(getattr(record, f) for f in record._fields)
+            assert record == fields and hash(record) == hash(fields)
+            assert record == twin and hash(record) == hash(twin)
+            assert record is not twin
+
+    def test_field_names_properties_and_methods(self):
+        arrival, request, completion, batch = self.records()
+        assert Arrival._fields == ("rid", "t_s", "model", "layer", "key")
+        assert Request._fields == ("rid", "model", "layer", "key",
+                                   "arrival_s", "timeout_s")
+        assert Completion._fields == ("request", "start_s", "finish_s",
+                                      "batch", "fill", "implementation")
+        assert Batch._fields == ("requests", "key", "batch")
+        assert request.deadline_s == 0.75
+        assert not request.expired(0.75) and request.expired(0.76)
+        assert request.config(4).batch == 4
+        assert completion.latency_s == 0.5
+        assert completion.queue_wait_s == 0.25
+        assert (batch.fill, batch.fill_fraction) == (1, 1.0)
+        assert batch.config() == request.config(1)
+        with pytest.raises(AttributeError):
+            request.rid = 4

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
+from repro.errors import ReportSchemaError, ReproError
 from repro.serve.request import Request
 from repro.obs.hist import percentile
-from repro.serve.stats import ServingStats
+from repro.serve.stats import ServingStats, StatsReport
 
 KEY = (27, 256, 5, 1, 96, 2)
 
@@ -102,3 +103,57 @@ class TestReport:
         assert rep.throughput_rps == 0.0
         assert rep.shed_rate == 0.0
         assert rep.mean_batch_fill == 0.0
+
+
+class TestFromDict:
+    """Saved report documents load tolerantly or fail with a typed
+    error, never an AttributeError or a silently wrong field."""
+
+    def report_doc(self):
+        return json.loads(json.dumps(TestReport().make_report().to_dict()))
+
+    def test_round_trip(self):
+        doc = self.report_doc()
+        assert StatsReport.from_dict(doc).to_dict() == doc
+
+    def test_missing_and_unknown_keys_tolerated(self):
+        doc = self.report_doc()
+        del doc["resilience"], doc["latency_ms"]
+        doc["from_the_future"] = {"x": "y"}
+        doc["shed_by_cause"]["cosmic_rays"] = 2
+        rep = StatsReport.from_dict(doc)
+        assert rep.retries == 0 and rep.latency_p99_ms == 0.0
+        assert rep.shed_by_cause["cosmic_rays"] == 2
+        assert StatsReport.from_dict({}).offered == 0
+
+    @pytest.mark.parametrize("doc, match", [
+        ([], r"StatsReport: document must be a JSON object, got list"),
+        ("x", r"StatsReport: document must be a JSON object, got str"),
+        (None, r"document must be a JSON object, got NoneType"),
+        ({"latency_ms": []}, r"latency_ms must be a JSON object"),
+        ({"resilience": "none"}, r"resilience must be a JSON object"),
+        ({"shed_by_cause": [1]}, r"shed_by_cause must be a JSON object"),
+        ({"offered": "x"}, r"field 'offered' must be an integer"),
+        ({"completed": 1.5}, r"field 'completed' must be an integer"),
+        ({"rejected": True}, r"field 'rejected' must be an integer"),
+        ({"duration_s": "1"}, r"field 'duration_s' must be a number"),
+        ({"latency_ms": {"p99": None}},
+         r"latency_ms: field 'p99' must be a number"),
+        ({"resilience": {"retries": "2"}},
+         r"resilience: field 'retries' must be an integer"),
+        ({"shed_by_cause": {"timeout": "3"}},
+         r"shed_by_cause: field 'timeout' must be an integer"),
+        ({"batch_histogram": {"8": "x"}},
+         r"batch_histogram: field '8' must be an integer"),
+        ({"batch_histogram": {"big": 1}},
+         r"batch_histogram key 'big' is not a batch size"),
+        ({"plan_cache": {"hits": "many"}},
+         r"plan_cache: field 'hits' must be a number"),
+        ({"implementations": {"cuDNN": None}},
+         r"implementations: field 'cuDNN' must be an integer"),
+    ])
+    def test_malformed_documents_raise_typed_errors(self, doc, match):
+        with pytest.raises(ReportSchemaError, match=match) as info:
+            StatsReport.from_dict(doc)
+        assert isinstance(info.value, ReproError)
+        assert isinstance(info.value, ValueError)
